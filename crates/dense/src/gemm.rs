@@ -6,9 +6,18 @@
 //! `C = α · op(A) · op(B) + β · C` with independent transpose flags, plus the
 //! convenience wrappers used by the higher layers (`matmul`, `matmul_nt`,
 //! `matmul_tn`).
+//!
+//! The `A · Bᵀ` case (`op(B) = Yes`: [`matmul_nt`], [`matmul_nt_rows`]) runs
+//! on the register-blocked micro-kernel in `microkernel.rs`, dispatched at
+//! run time to hardware FMA when the CPU has it. Each entry keeps the
+//! per-entry order contract: the sequential k-order chain
+//! `acc = a_i[k].mul_add(b_j[k], acc)` from `0`, then the write
+//! `c_ij += α·acc` onto the β-scaled output. Results are therefore the same
+//! bits at every thread count, row panel and on CPUs with or without FMA.
 
 use crate::errors::DenseError;
 use crate::matrix::DenseMatrix;
+use crate::microkernel::nt_rows;
 use crate::parallel::par_chunks_rows;
 use crate::scalar::Scalar;
 use crate::Result;
@@ -33,7 +42,7 @@ impl Transpose {
     }
 }
 
-/// Cache-blocking tile edge (in elements) for the inner GEMM loops.
+/// Cache-blocking tile edge (in elements) for the `op(B) = No` GEMM loops.
 ///
 /// Chosen so a `TILE x TILE` f64 tile of each operand fits comfortably in L1;
 /// the exact value only affects performance, never results.
@@ -50,10 +59,10 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
 /// `C = alpha * op(A) * op(B) + beta * C`.
 ///
 /// Shapes must satisfy `op(A): m x k`, `op(B): k x n`, `C: m x n`.
-/// Rows of `C` are distributed across worker threads; within a thread the
-/// kernel uses `TILE`-blocked loops with the `k` dimension innermost for the
-/// `A · Bᵀ` case (dot products over contiguous rows) and a `i-k-j` ordering
-/// otherwise so the innermost loop always streams contiguous memory.
+/// Rows of `C` are distributed across worker threads. Within a thread the
+/// `A · Bᵀ` case runs the register-blocked micro-kernel (dot products over
+/// contiguous rows, see the module docs); otherwise a `TILE`-blocked `i-k-j`
+/// ordering keeps the innermost loop streaming contiguous memory.
 pub fn gemm<T: Scalar>(
     alpha: T,
     a: &DenseMatrix<T>,
@@ -106,25 +115,10 @@ pub fn gemm<T: Scalar>(
 
     match op_b {
         Transpose::Yes => {
-            // C[i][j] += alpha * dot(Aeff.row(i), B.row(j))
-            let a_ref = a_eff.as_ref();
-            let b_ref = b;
-            par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
-                for (local_i, c_row) in chunk.chunks_exact_mut(n).enumerate() {
-                    let i = start_row + local_i;
-                    let a_row = a_ref.row(i);
-                    for (jb, c_block) in c_row.chunks_mut(TILE).enumerate() {
-                        let j0 = jb * TILE;
-                        for (dj, c_ij) in c_block.iter_mut().enumerate() {
-                            let b_row = b_ref.row(j0 + dj);
-                            let mut acc = T::ZERO;
-                            for (x, y) in a_row.iter().zip(b_row.iter()) {
-                                acc = x.mul_add(*y, acc);
-                            }
-                            *c_ij += alpha * acc;
-                        }
-                    }
-                }
+            par_chunks_rows(c.as_mut_slice(), n, |row0, chunk| {
+                nt_rows(&a_eff, row0, b, chunk, None, |c_ij, acc| {
+                    *c_ij += alpha * acc
+                });
             });
         }
         Transpose::No => {
@@ -184,9 +178,8 @@ pub fn matmul_tn<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> Result<De
 /// panel operand once per tile per iteration would be pure waste.
 ///
 /// Each output entry is the same sequential `mul_add` dot product the full
-/// [`matmul_nt`] computes (same `TILE`-blocked column order, same
-/// `0 + α·acc` write), so the panel is **bit-identical** to the matching
-/// rows of the full product.
+/// [`matmul_nt`] computes (same micro-kernel, same `0 + α·acc` write), so
+/// the panel is **bit-identical** to the matching rows of the full product.
 pub fn matmul_nt_rows<T: Scalar>(
     a: &DenseMatrix<T>,
     r0: usize,
@@ -211,21 +204,10 @@ pub fn matmul_nt_rows<T: Scalar>(
     if r0 == r1 || n == 0 || a.cols() == 0 {
         return Ok(c);
     }
-    par_chunks_rows(c.as_mut_slice(), n, |start_row, chunk| {
-        for (local_i, c_row) in chunk.chunks_exact_mut(n).enumerate() {
-            let a_row = a.row(r0 + start_row + local_i);
-            for (jb, c_block) in c_row.chunks_mut(TILE).enumerate() {
-                let j0 = jb * TILE;
-                for (dj, c_ij) in c_block.iter_mut().enumerate() {
-                    let b_row = b.row(j0 + dj);
-                    let mut acc = T::ZERO;
-                    for (x, y) in a_row.iter().zip(b_row.iter()) {
-                        acc = x.mul_add(*y, acc);
-                    }
-                    *c_ij += T::ONE * acc;
-                }
-            }
-        }
+    par_chunks_rows(c.as_mut_slice(), n, |row0, chunk| {
+        nt_rows(a, r0 + row0, b, chunk, None, |c_ij, acc| {
+            *c_ij += T::ONE * acc
+        });
     });
     Ok(c)
 }

@@ -23,6 +23,7 @@
 pub mod errors;
 pub mod gemm;
 pub mod matrix;
+mod microkernel;
 pub mod norms;
 pub mod ops;
 pub mod parallel;

@@ -49,7 +49,14 @@ pub trait Scalar:
     fn from_usize(v: usize) -> Self;
     /// Convert to `f64` for reporting and cost accounting.
     fn to_f64(self) -> f64;
-    /// Fused multiply-add `self * a + b`.
+    /// Fused multiply-add `self * a + b`, rounded once.
+    ///
+    /// Unless the calling function is compiled with the `fma` target
+    /// feature, this lowers to a libm `fma` *call* per element, which also
+    /// blocks vectorisation; hot kernels therefore dispatch to an
+    /// FMA-enabled copy at run time (see `microkernel.rs` in this crate).
+    /// IEEE-754 fusedMultiplyAdd is single-rounded, so the hardware
+    /// instruction and the software routine return identical bits.
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// Natural exponential.
     fn exp(self) -> Self;

@@ -7,10 +7,18 @@
 //! is then mirrored into the other half — that copy is exactly the overhead
 //! the paper's GEMM/SYRK selection strategy trades off against the saved
 //! FLOPs. This module reproduces both the triangular product and the mirror.
+//!
+//! The triangle runs on the register-blocked micro-kernel in
+//! `microkernel.rs`, dispatched at run time to hardware FMA when the CPU has
+//! it. Each entry keeps the per-entry order contract: the sequential k-order
+//! chain `acc = a_i[k].mul_add(a_j[k], acc)` from `0`, then the write
+//! `C_ij = (β == 0 ? 0 : β·C_ij) + α·acc`. Results are therefore the same bits
+//! at every thread count and on CPUs with or without FMA.
 
 use crate::errors::DenseError;
 use crate::matrix::DenseMatrix;
-use crate::parallel::par_for_ranges;
+use crate::microkernel::nt_rows;
+use crate::parallel::{num_threads, par_chunks_rows_ranges, triangular_ranges};
 use crate::scalar::Scalar;
 use crate::Result;
 
@@ -55,40 +63,25 @@ pub fn syrk<T: Scalar>(
         return Ok(());
     }
 
-    // The cells of the computed triangle are disjoint per output row, so
-    // parallelising over rows is race-free even though we only touch a
-    // triangular region.
-    let cols = n;
-    let c_ptr = SendPtr(c.as_mut_slice().as_mut_ptr());
-    par_for_ranges(n, |range| {
-        // Going through the method keeps the closure capturing the whole
-        // `SendPtr` wrapper (Send + Sync), not its raw-pointer field.
-        let c_base = c_ptr.get();
-        for i in range {
-            let (j_start, j_end) = match triangle {
-                Triangle::Lower => (0, i + 1),
-                Triangle::Upper => (i, n),
+    // Row `i` of the lower triangle holds `i + 1` entries (`n - i` for the
+    // upper one), so the rows are cut into parts of equal triangular weight.
+    let ranges: Vec<_> = match triangle {
+        Triangle::Lower => triangular_ranges(n, num_threads()),
+        Triangle::Upper => triangular_ranges(n, num_threads())
+            .into_iter()
+            .rev()
+            .map(|r| n - r.end..n - r.start)
+            .collect(),
+    };
+    par_chunks_rows_ranges(c.as_mut_slice(), n, &ranges, |row0, chunk| {
+        nt_rows(a, row0, a, chunk, Some(triangle), |cell, acc| {
+            let prev = if beta == T::ZERO {
+                T::ZERO
+            } else {
+                beta * *cell
             };
-            let a_i = a.row(i);
-            for j in j_start..j_end {
-                let a_j = a.row(j);
-                let mut acc = T::ZERO;
-                for (x, y) in a_i.iter().zip(a_j.iter()) {
-                    acc = x.mul_add(*y, acc);
-                }
-                // SAFETY: each (i, j) cell is written by exactly one thread
-                // because rows are partitioned disjointly across threads.
-                unsafe {
-                    let cell = c_base.add(i * cols + j);
-                    let prev = if beta == T::ZERO {
-                        T::ZERO
-                    } else {
-                        beta * *cell
-                    };
-                    *cell = prev + alpha * acc;
-                }
-            }
-        }
+            *cell = prev + alpha * acc;
+        });
     });
     Ok(())
 }
@@ -139,20 +132,6 @@ pub fn syrk_full<T: Scalar>(a: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
     symmetrize_lower(&mut c, Triangle::Lower)?;
     Ok(c)
 }
-
-/// Wrapper around a raw pointer so it can be captured by the scoped threads.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-// SAFETY: the parallel loop partitions output rows disjointly, so concurrent
-// writers never alias.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
