@@ -24,7 +24,7 @@ use popcorn_bench::analytic::{
 };
 use popcorn_bench::report::{format_seconds, format_speedup, Table};
 use popcorn_bench::ExperimentOptions;
-use popcorn_core::kernel_source::{plan_tile_rows, tile_bytes, workspace_bytes};
+use popcorn_core::kernel_source::{plan_tile_rows, row_tiles, tile_bytes, workspace_bytes};
 use popcorn_core::shard::ShardPlan;
 use popcorn_core::{KernelFunction, KernelKmeans, KernelKmeansConfig, Solver, TilePolicy};
 use popcorn_data::synthetic::uniform_dataset;
@@ -87,13 +87,9 @@ fn sharded_model(
         }
         let mut recompute_pass = 0.0f64;
         let mut spmm_pass = 0.0f64;
-        let mut r0 = shard.rows.start;
-        while r0 < shard.rows.end {
-            let r1 = (r0 + shard.tile_rows.max(1)).min(shard.rows.end);
-            let t = r1 - r0;
-            recompute_pass += tile_recompute_seconds(n, d, t, kernel);
-            spmm_pass += distance_spmm_tile_seconds(n, k, t);
-            r0 = r1;
+        for rows in row_tiles(shard.rows.clone(), shard.tile_rows) {
+            recompute_pass += tile_recompute_seconds(n, d, rows.len(), kernel);
+            spmm_pass += distance_spmm_tile_seconds(n, k, rows.len());
         }
         let recompute_passes = if shard.is_resident() { 1 } else { iterations };
         busiest =

@@ -485,13 +485,9 @@ impl<T: Scalar> KernelSource<T> for TiledKernel<'_, T> {
     }
 
     fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        let n = self.points.n();
-        let mut r0 = 0usize;
-        while r0 < n {
-            let r1 = (r0 + self.tile_rows).min(n);
-            let tile = self.compute_tile(r0, r1, executor)?;
-            f(r0..r1, &tile)?;
-            r0 = r1;
+        for rows in row_tiles(0..self.points.n(), self.tile_rows) {
+            let tile = self.compute_tile(rows.start, rows.end, executor)?;
+            f(rows, &tile)?;
         }
         Ok(())
     }
@@ -677,6 +673,41 @@ fn dispatch_sharded<T: Scalar, R>(
 /// Bytes of one `rows × n` tile of `elem`-byte scalars (u64-safe).
 pub fn tile_bytes(rows: usize, n: usize, elem: usize) -> u64 {
     rows as u64 * n as u64 * elem as u64
+}
+
+/// Split `rows` into consecutive tiles of `step` rows (the last one may be
+/// shorter), in ascending order. A zero `step` walks one row at a time.
+pub fn row_tiles(rows: Range<usize>, step: usize) -> impl Iterator<Item = Range<usize>> {
+    let step = step.max(1);
+    let end = rows.end;
+    rows.step_by(step).map(move |r0| r0..(r0 + step).min(end))
+}
+
+/// Tracked device bytes of a transient working set, freed on every exit path
+/// when the guard drops.
+pub(crate) struct TrackedBytes<'a> {
+    executor: &'a dyn Executor,
+    bytes: u64,
+}
+
+impl<'a> TrackedBytes<'a> {
+    /// Track `bytes` on `executor` until the guard drops.
+    pub(crate) fn alloc(executor: &'a dyn Executor, bytes: u64) -> Self {
+        executor.track_alloc(bytes);
+        Self { executor, bytes }
+    }
+
+    /// Track `bytes` more under the same guard.
+    pub(crate) fn grow(&mut self, bytes: u64) {
+        self.executor.track_alloc(bytes);
+        self.bytes += bytes;
+    }
+}
+
+impl Drop for TrackedBytes<'_> {
+    fn drop(&mut self) {
+        self.executor.track_free(self.bytes);
+    }
 }
 
 /// Bytes of the full `n × n` kernel matrix — computed in `u128` because past

@@ -41,6 +41,7 @@ use popcorn_dense::{matmul, matmul_nt_rows, DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase, Streaming};
 use popcorn_sparse::CsrMatrix;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Which solver family produced a fitted model. Serving replays the family's
 /// exact finishing arithmetic, so training-set assignment stays bit-for-bit.
@@ -1248,10 +1249,7 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
             }
             ResidentKernel::Nystrom(nys) => {
                 let m = nys.landmarks.len();
-                let step = nys.tile_rows.max(1);
-                let mut r0 = 0usize;
-                while r0 < n {
-                    let r1 = (r0 + step).min(n);
+                for Range { start: r0, end: r1 } in kernel_source::row_tiles(0..n, nys.tile_rows) {
                     let tile = executor.run(
                         format!("serve nystrom panel rows {r0}..{r1} (n={n}, m={m})"),
                         Phase::PairwiseDistances,
@@ -1260,7 +1258,6 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
                         || matmul_nt_rows(&nys.hat, r0, r1, &nys.cross),
                     )?;
                     f(r0..r1, &tile)?;
-                    r0 = r1;
                 }
                 Ok(())
             }

@@ -35,24 +35,36 @@
 //! Heterogeneous pools are planned by [`ShardPlan::balanced_by_throughput`]:
 //! shard sizes proportional to each device's modeled throughput (the
 //! geometric mean of its compute and bandwidth roofs), degenerating *exactly*
-//! to [`ShardPlan::balanced`] on uniform pools. The source also survives
-//! mid-fit device loss: at every pass boundary it drains the executor's fault
-//! schedule ([`popcorn_gpusim::Executor::poll_fault`]) and — under
-//! [`RecoveryPolicy::Resume`] — re-partitions the lost device's rows over the
-//! surviving devices (throughput-weighted, spliced in place so the global row
-//! order is unchanged) and continues. Because sharding never changes what is
-//! computed, a recovered fit is **bit-identical to a fresh fit on the
-//! surviving topology**; the only cost is the modeled re-shard work, which is
-//! accounted on a [`RecoveryReport`]. Under [`RecoveryPolicy::Abort`] the
-//! loss surfaces as [`CoreError::DeviceLost`] for the retry layers instead.
-//! Scale-up is lazy: a joined device becomes eligible immediately but is only
-//! drafted by the *next* re-plan (a later loss, or the next fit) — moving
-//! rows onto it mid-fit would discard survivors' resident tiles for no
-//! modeled win.
+//! to [`ShardPlan::balanced`] on uniform pools.
+//!
+//! Every kernel source — this module's exact [`ShardedKernelSource`], the
+//! Nyström factors and the CSR-resident sparsified kernel — streams through
+//! one crate-private driver, `ShardedPass`. At every pass boundary it drains
+//! the executor's fault schedule ([`popcorn_gpusim::Executor::poll_fault`]).
+//! Under [`RecoveryPolicy::Abort`] a loss surfaces as
+//! [`CoreError::DeviceLost`] for the retry layers. Under
+//! [`RecoveryPolicy::Resume`] the driver splices the lost device's rows over
+//! the surviving devices (throughput-weighted, in place, so the global row
+//! order is unchanged), frees the lost entries' bytes, tracks the new
+//! entries' bytes on their owners and fills in one [`RecoveryReport`]. It
+//! then walks the rows in global order with the owning device active and
+//! charges the all-reduce. Because sharding never changes what is computed,
+//! a recovered fit is **bit-identical to a fresh fit on the surviving
+//! topology**.
+//!
+//! A source supplies only what differs, through the `ShardLayout` hooks:
+//! how an entry is planned and capacity-checked, the bytes it holds, whether
+//! migrated rows are re-uploaded (CSR slices live host-side; dense panels are
+//! recomputed in place from replicated points), and — for the exact source —
+//! which resident tiles survive a re-plan. Scale-up is lazy: a joined device
+//! becomes eligible immediately but is only drafted by the *next* re-plan (a
+//! later loss, or the next fit) — moving rows onto it mid-fit would discard
+//! survivors' resident tiles for no modeled win.
 
 use crate::kernel::KernelFunction;
 use crate::kernel_source::{
-    plan_tile_rows, tile_bytes, workspace_bytes, KernelSource, TilePolicy, TileVisitor, TiledKernel,
+    plan_tile_rows, row_tiles, tile_bytes, workspace_bytes, KernelSource, TilePolicy, TileVisitor,
+    TiledKernel,
 };
 use crate::solver::FitInput;
 use crate::{CoreError, Result};
@@ -62,7 +74,7 @@ use popcorn_gpusim::{
     RecoveryPolicy, RecoveryReport,
 };
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// One device's slice of the kernel matrix rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -201,33 +213,19 @@ impl ShardPlan {
                 });
             }
         };
-        let mut shards = Vec::with_capacity(active.len());
-        let mut start = 0usize;
-        for (&device, &count) in active.iter().zip(&counts) {
-            let end = start + count;
-            let tile_rows = if count == 0 {
-                0
-            } else {
-                plan_shard_tile_rows(
-                    n,
-                    count,
-                    k_budget,
-                    elem,
-                    input_bytes,
-                    tiling,
-                    topology,
-                    device,
-                )?
-            };
-            shards.push(DeviceShard {
-                device,
-                rows: start..end,
-                tile_rows,
-            });
-            start = end;
-        }
-        debug_assert_eq!(start, n);
-        Ok(Self { n, shards })
+        let layout = PanelLayout {
+            n,
+            k_budget,
+            elem,
+            input_bytes,
+            tiling,
+        };
+        Self::planned(
+            n,
+            consecutive_entries(0, &active, &counts),
+            &layout,
+            topology,
+        )
     }
 
     /// Plan over an executor's topology and liveness: the throughput-weighted
@@ -244,17 +242,7 @@ impl ShardPlan {
         tiling: TilePolicy,
         executor: &dyn Executor,
     ) -> Result<Self> {
-        let Some(topology) = executor.topology() else {
-            return Err(CoreError::InvalidConfig(
-                "the executor reports multiple shards but no device topology; \
-                 an Executor implementation overriding shard_count() must also \
-                 override topology()"
-                    .into(),
-            ));
-        };
-        let alive: Vec<bool> = (0..topology.devices.len())
-            .map(|d| executor.shard_alive(d))
-            .collect();
+        let (topology, alive) = live_topology(executor)?;
         Self::balanced_by_throughput(
             n,
             k_budget,
@@ -295,29 +283,21 @@ impl ShardPlan {
                     "shard boundaries must be ascending and at most n = {n}"
                 )));
             }
-            let shard_rows = end - start;
-            let tile_rows = if shard_rows == 0 {
-                0
-            } else {
-                plan_shard_tile_rows(
-                    n,
-                    shard_rows,
-                    k_budget,
-                    elem,
-                    input_bytes,
-                    tiling,
-                    topology,
-                    device,
-                )?
-            };
             shards.push(DeviceShard {
                 device,
                 rows: start..end,
-                tile_rows,
+                tile_rows: 0,
             });
             start = end;
         }
-        Ok(Self { n, shards })
+        let layout = PanelLayout {
+            n,
+            k_budget,
+            elem,
+            input_bytes,
+            tiling,
+        };
+        Self::planned(n, shards, &layout, topology)
     }
 
     /// Rebuild a plan from explicit entries, validating that they
@@ -362,18 +342,62 @@ impl ShardPlan {
         topology: &DeviceTopology,
         alive: &[bool],
     ) -> Result<(ShardPlan, Vec<Option<usize>>)> {
-        let survivors: Vec<usize> = (0..topology.devices.len())
-            .filter(|&d| d != lost && alive.get(d).copied().unwrap_or(false))
+        let layout = PanelLayout {
+            n: self.n,
+            k_budget,
+            elem,
+            input_bytes,
+            tiling,
+        };
+        self.splice_out(lost, elem, topology, alive, &layout)
+    }
+
+    /// Throughput-weighted partition of `0..n` over the executor's alive
+    /// devices with every entry sized by `layout` — the planner for
+    /// representations whose capacity math is not the dense tile buffer's.
+    pub(crate) fn for_executor_with(
+        n: usize,
+        elem: usize,
+        executor: &dyn Executor,
+        layout: &dyn ShardLayout,
+    ) -> Result<Self> {
+        let (topology, alive) = live_topology(executor)?;
+        let shards = split_rows_by_throughput(0..n, elem, topology, &alive)?;
+        Self::planned(n, shards, layout, topology)
+    }
+
+    /// A plan over contiguous `shards`, every entry sized by `layout`.
+    fn planned(
+        n: usize,
+        mut shards: Vec<DeviceShard>,
+        layout: &dyn ShardLayout,
+        topology: &DeviceTopology,
+    ) -> Result<Self> {
+        for index in 0..shards.len() {
+            shards[index].tile_rows = layout.plan_entry(&shards, index, topology)?;
+        }
+        Ok(Self { n, shards })
+    }
+
+    /// [`ShardPlan::reassign_device`] with each fresh chunk sized by
+    /// `layout`, which sees the whole spliced plan so a capacity check can
+    /// count what a survivor already holds.
+    fn splice_out(
+        &self,
+        lost: usize,
+        elem: usize,
+        topology: &DeviceTopology,
+        alive: &[bool],
+        layout: &dyn ShardLayout,
+    ) -> Result<(ShardPlan, Vec<Option<usize>>)> {
+        let survivors: Vec<bool> = (0..topology.devices.len())
+            .map(|d| d != lost && alive.get(d).copied().unwrap_or(false))
             .collect();
-        if survivors.is_empty() {
+        if !survivors.contains(&true) {
             return Err(CoreError::InvalidConfig(format!(
                 "device {lost} was lost but no alive devices remain to take over its rows"
             )));
         }
-        let weights: Vec<u128> = survivors
-            .iter()
-            .map(|&d| throughput_weight(&topology.devices[d], elem))
-            .collect();
         let mut shards = Vec::with_capacity(self.shards.len() + survivors.len());
         let mut carry = Vec::with_capacity(shards.capacity());
         for (index, shard) in self.shards.iter().enumerate() {
@@ -382,35 +406,18 @@ impl ShardPlan {
                 carry.push(Some(index));
                 continue;
             }
-            if shard.rows.is_empty() {
-                continue; // nothing to migrate; the empty entry is dropped
-            }
-            let counts = proportional_rows(shard.rows.len(), &weights);
-            let mut start = shard.rows.start;
-            for (&device, &count) in survivors.iter().zip(&counts) {
-                if count == 0 {
-                    continue;
+            // An empty lost entry migrates nothing and is dropped.
+            for chunk in split_rows_by_throughput(shard.rows.clone(), elem, topology, &survivors)? {
+                if !chunk.rows.is_empty() {
+                    shards.push(chunk);
+                    carry.push(None);
                 }
-                let end = start + count;
-                let tile_rows = plan_shard_tile_rows(
-                    self.n,
-                    count,
-                    k_budget,
-                    elem,
-                    input_bytes,
-                    tiling,
-                    topology,
-                    device,
-                )?;
-                shards.push(DeviceShard {
-                    device,
-                    rows: start..end,
-                    tile_rows,
-                });
-                carry.push(None);
-                start = end;
             }
-            debug_assert_eq!(start, shard.rows.end);
+        }
+        for index in 0..shards.len() {
+            if carry[index].is_none() {
+                shards[index].tile_rows = layout.plan_entry(&shards, index, topology)?;
+            }
         }
         Ok((ShardPlan { n: self.n, shards }, carry))
     }
@@ -459,16 +466,15 @@ impl ShardPlan {
     }
 }
 
-/// Throughput-weighted split of `rows` over the devices marked alive,
-/// in device order — shared with the CSR-resident source, whose nnz-based
-/// capacity math cannot reuse the dense planner. Every alive device gets an
-/// entry (possibly empty); the counts always sum to `rows.len()`.
-pub(crate) fn split_rows_by_throughput(
+/// Throughput-weighted split of `rows` over the devices marked alive, in
+/// device order, as entries still to be planned (`tile_rows` 0). Every alive
+/// device gets an entry (possibly empty); the entries always cover `rows`.
+fn split_rows_by_throughput(
     rows: Range<usize>,
     elem: usize,
     topology: &DeviceTopology,
     alive: &[bool],
-) -> Result<Vec<(usize, Range<usize>)>> {
+) -> Result<Vec<DeviceShard>> {
     let active: Vec<usize> = (0..topology.devices.len())
         .filter(|&d| alive.get(d).copied().unwrap_or(false))
         .collect();
@@ -482,15 +488,41 @@ pub(crate) fn split_rows_by_throughput(
         .map(|&d| throughput_weight(&topology.devices[d], elem))
         .collect();
     let counts = proportional_rows(rows.len(), &weights);
-    let mut out = Vec::with_capacity(active.len());
-    let mut start = rows.start;
-    for (&device, &count) in active.iter().zip(&counts) {
-        let end = start + count;
-        out.push((device, start..end));
-        start = end;
-    }
-    debug_assert_eq!(start, rows.end);
-    Ok(out)
+    Ok(consecutive_entries(rows.start, &active, &counts))
+}
+
+/// Consecutive entries still to be planned, from row `start` on: `counts[i]`
+/// rows on `devices[i]`.
+fn consecutive_entries(mut start: usize, devices: &[usize], counts: &[usize]) -> Vec<DeviceShard> {
+    devices
+        .iter()
+        .zip(counts)
+        .map(|(&device, &count)| {
+            let rows = start..start + count;
+            start = rows.end;
+            DeviceShard {
+                device,
+                rows,
+                tile_rows: 0,
+            }
+        })
+        .collect()
+}
+
+/// The executor's device topology and per-device liveness.
+fn live_topology(executor: &dyn Executor) -> Result<(&DeviceTopology, Vec<bool>)> {
+    let Some(topology) = executor.topology() else {
+        return Err(CoreError::InvalidConfig(
+            "the executor reports multiple shards but no device topology; \
+             an Executor implementation overriding shard_count() must also \
+             override topology()"
+                .into(),
+        ));
+    };
+    let alive = (0..topology.devices.len())
+        .map(|d| executor.shard_alive(d))
+        .collect();
+    Ok((topology, alive))
 }
 
 /// Integer-scaled relative throughput of one device at the fit's element
@@ -578,58 +610,9 @@ fn full_resident_row_cap(
     usize::try_from((mem - workspace) / per_row).unwrap_or(usize::MAX)
 }
 
-/// Per-device tile planning: map the fit-level [`TilePolicy`] onto one
-/// device's shard, reusing [`plan_tile_rows`] for the capacity math. A
-/// capacity rejection is promoted to
-/// [`CoreError::DeviceShardMemoryExceeded`] so the failing device of a
-/// heterogeneous pool is named.
-#[allow(clippy::too_many_arguments)]
-fn plan_shard_tile_rows(
-    n: usize,
-    shard_rows: usize,
-    k_budget: usize,
-    elem: usize,
-    input_bytes: u64,
-    tiling: TilePolicy,
-    topology: &DeviceTopology,
-    device: usize,
-) -> Result<usize> {
-    let spec = &topology.devices[device];
-    let plan = |policy: TilePolicy| {
-        plan_tile_rows(n, k_budget, elem, input_bytes, policy, spec).map_err(|e| match e {
-            CoreError::DeviceMemoryExceeded {
-                required_bytes,
-                available_bytes,
-            } => CoreError::DeviceShardMemoryExceeded {
-                device,
-                required_bytes,
-                available_bytes,
-            },
-            other => other,
-        })
-    };
-    match tiling {
-        // "Full" on a sharded fit means: every device keeps its whole shard
-        // resident; reject the topology if a device cannot.
-        TilePolicy::Full => plan(TilePolicy::Rows(shard_rows)),
-        TilePolicy::Rows(rows) => {
-            if rows == 0 {
-                return Err(CoreError::InvalidConfig(
-                    "tile_rows must be at least 1".into(),
-                ));
-            }
-            plan(TilePolicy::Rows(rows.min(shard_rows)))
-        }
-        TilePolicy::Auto => {
-            let rows = plan(TilePolicy::Auto)?;
-            Ok(rows.min(shard_rows))
-        }
-    }
-}
-
 /// Restores "no active shard" on drop, so an error inside a shard's tile
 /// stream cannot leave the executor attributing unrelated work to a device.
-struct ActiveShard<'a> {
+pub(crate) struct ActiveShard<'a> {
     executor: &'a dyn Executor,
 }
 
@@ -646,13 +629,361 @@ impl Drop for ActiveShard<'_> {
     }
 }
 
-/// The plan in force and the number of completed tile passes. Guarded by its
-/// own mutex (separate from the resident cache) so `row()` — which only needs
-/// the owner lookup — can never deadlock against a tile stream holding the
-/// cache; lock order is always plan before cache.
+/// What a kernel representation tells the [`ShardedPass`] driver about its
+/// plan entries. Fault polling, recovery, the row walk and the all-reduce
+/// are the driver's.
+pub(crate) trait ShardLayout {
+    /// Sub-tile height of `entries[index]`, or the capacity error that rules
+    /// its device out. `entries` is the whole plan, so a check can count
+    /// everything the device holds.
+    fn plan_entry(
+        &self,
+        entries: &[DeviceShard],
+        index: usize,
+        topology: &DeviceTopology,
+    ) -> Result<usize>;
+
+    /// Bytes `entry` keeps resident on its device.
+    fn entry_bytes(&self, entry: &DeviceShard) -> u64;
+
+    /// `true` when rows moved onto a survivor are re-uploaded (the stored
+    /// entries exist only host-side) instead of recomputed in place.
+    fn reuploads_migrated_rows(&self) -> bool {
+        false
+    }
+
+    /// Called once per recovery, before the spliced plan takes over: `old`
+    /// is the plan that lost device `lost`, and `carry[j]` is the index in
+    /// `old` that entry `j` of the new plan was carried from (`None` for a
+    /// fresh chunk). Per-entry caches are rebuilt here, and what their loss
+    /// costs is added to `report`.
+    fn carry_over(
+        &self,
+        old: &[DeviceShard],
+        lost: usize,
+        carry: &[Option<usize>],
+        report: &mut RecoveryReport,
+    ) {
+        let _ = (old, lost, carry, report);
+    }
+}
+
+/// The layout of the sources that compute dense row panels on the device
+/// (exact and Nyström): each entry holds one `tile_rows × n` buffer, planned
+/// by [`plan_tile_rows`] against a workspace with `input_bytes` resident.
+pub(crate) struct PanelLayout {
+    pub(crate) n: usize,
+    pub(crate) k_budget: usize,
+    pub(crate) elem: usize,
+    /// Resident bytes the workspace holds besides the kernel-matrix tiles
+    /// (the points, plus any factors).
+    pub(crate) input_bytes: u64,
+    pub(crate) tiling: TilePolicy,
+}
+
+impl PanelLayout {
+    /// Plan a pass over `executor`: a throughput-weighted shard plan on a
+    /// multi-device executor, plain tiling otherwise.
+    pub(crate) fn plan_pass(&self, executor: &dyn Executor) -> Result<ShardedPass> {
+        let (n, k, elem, bytes) = (self.n, self.k_budget, self.elem, self.input_bytes);
+        if executor.shard_count() > 1 {
+            let plan = ShardPlan::for_executor(n, k, elem, bytes, self.tiling, executor)?;
+            let tile_rows = plan.max_tile_rows().max(1);
+            Ok(ShardedPass::new(n, k, elem, tile_rows, Some(plan)))
+        } else {
+            let tile_rows = plan_tile_rows(n, k, elem, bytes, self.tiling, executor.device())?;
+            Ok(ShardedPass::new(n, k, elem, tile_rows, None))
+        }
+    }
+}
+
+impl ShardLayout for PanelLayout {
+    /// Maps the fit-level [`TilePolicy`] onto one entry, reusing
+    /// [`plan_tile_rows`] for the capacity math. A capacity rejection is
+    /// promoted to [`CoreError::DeviceShardMemoryExceeded`] so the failing
+    /// device of a heterogeneous pool is named.
+    fn plan_entry(
+        &self,
+        entries: &[DeviceShard],
+        index: usize,
+        topology: &DeviceTopology,
+    ) -> Result<usize> {
+        let DeviceShard { device, rows, .. } = &entries[index];
+        if rows.is_empty() {
+            return Ok(0);
+        }
+        let plan = |policy: TilePolicy| {
+            let spec = &topology.devices[*device];
+            plan_tile_rows(
+                self.n,
+                self.k_budget,
+                self.elem,
+                self.input_bytes,
+                policy,
+                spec,
+            )
+            .map_err(|e| match e {
+                CoreError::DeviceMemoryExceeded {
+                    required_bytes,
+                    available_bytes,
+                } => CoreError::DeviceShardMemoryExceeded {
+                    device: *device,
+                    required_bytes,
+                    available_bytes,
+                },
+                other => other,
+            })
+        };
+        match self.tiling {
+            // "Full" on a sharded fit means: every device keeps its whole
+            // shard resident; reject the topology if a device cannot.
+            TilePolicy::Full => plan(TilePolicy::Rows(rows.len())),
+            TilePolicy::Rows(0) => Err(CoreError::InvalidConfig(
+                "tile_rows must be at least 1".into(),
+            )),
+            TilePolicy::Rows(tile) => plan(TilePolicy::Rows(tile.min(rows.len()))),
+            TilePolicy::Auto => Ok(plan(TilePolicy::Auto)?.min(rows.len())),
+        }
+    }
+
+    fn entry_bytes(&self, entry: &DeviceShard) -> u64 {
+        tile_bytes(entry.tile_rows, self.n, self.elem)
+    }
+}
+
+/// The plan in force and the number of completed passes.
+#[derive(Debug)]
 struct PassState {
     plan: ShardPlan,
     pass: usize,
+}
+
+/// The elastic multi-device pass every kernel source streams through.
+///
+/// It owns the shard plan and, at every pass boundary, drains the executor's
+/// fault schedule: under [`RecoveryPolicy::Abort`] a loss surfaces as
+/// [`CoreError::DeviceLost`]; under [`RecoveryPolicy::Resume`] the lost rows
+/// are spliced over the survivors and the bytes are moved (see the module
+/// docs). It then walks the rows in global row order with the owning device
+/// active, and charges the all-reduce of the distance partials when more
+/// than one device took part. Without a plan (one device) the pass is plain
+/// tiling with no attribution.
+#[derive(Debug)]
+pub(crate) struct ShardedPass {
+    n: usize,
+    k_budget: usize,
+    elem: usize,
+    /// Sub-tile height fixed at construction; the walk's height without a
+    /// plan.
+    tile_rows: usize,
+    /// Behind a mutex because a recovery re-plans between passes. Lock order
+    /// is always this state before a source's caches (`carry_over` runs
+    /// under it), and the walk releases it before visiting any rows.
+    state: Option<Mutex<PassState>>,
+}
+
+impl ShardedPass {
+    pub(crate) fn new(
+        n: usize,
+        k_budget: usize,
+        elem: usize,
+        tile_rows: usize,
+        plan: Option<ShardPlan>,
+    ) -> Self {
+        Self {
+            n,
+            k_budget,
+            elem,
+            tile_rows,
+            state: plan.map(|plan| Mutex::new(PassState { plan, pass: 0 })),
+        }
+    }
+
+    fn lock(&self) -> Option<MutexGuard<'_, PassState>> {
+        self.state
+            .as_ref()
+            .map(|state| state.lock().unwrap_or_else(|p| p.into_inner()))
+    }
+
+    /// Track every entry's resident bytes on its owning device; without a
+    /// plan, the whole single-device footprint.
+    pub(crate) fn track_resident(&self, layout: &dyn ShardLayout, executor: &dyn Executor) {
+        let Some(state) = self.lock() else {
+            executor.track_alloc(layout.entry_bytes(&DeviceShard {
+                device: 0,
+                rows: 0..self.n,
+                tile_rows: self.tile_rows,
+            }));
+            return;
+        };
+        for entry in state.plan.shards() {
+            let bytes = layout.entry_bytes(entry);
+            if bytes > 0 {
+                let _active = ActiveShard::activate(executor, entry.device);
+                executor.track_alloc(bytes);
+            }
+        }
+    }
+
+    /// A snapshot of the plan in force (`None` on a single device).
+    pub(crate) fn plan(&self) -> Option<ShardPlan> {
+        self.lock().map(|state| state.plan.clone())
+    }
+
+    /// The sub-tile height fixed at construction.
+    pub(crate) fn tile_rows(&self) -> usize {
+        self.tile_rows
+    }
+
+    /// The largest sub-tile height of the plan in force.
+    pub(crate) fn max_tile_rows(&self) -> usize {
+        self.lock()
+            .map_or(self.tile_rows, |state| state.plan.max_tile_rows())
+    }
+
+    /// Attribute work on `row` to the device that owns it (nothing on a
+    /// single device).
+    pub(crate) fn activate_owner<'e>(
+        &self,
+        row: usize,
+        executor: &'e dyn Executor,
+    ) -> Option<ActiveShard<'e>> {
+        let device = self.lock()?.plan.device_of(row);
+        Some(ActiveShard::activate(executor, device))
+    }
+
+    /// One pass over every row, in global row order, so engines fold tiles
+    /// exactly as a single-device stream would. `visit` gets each sub-tile
+    /// with its owning device active, plus the plan-entry index when the
+    /// range is a whole entry its device keeps resident.
+    pub(crate) fn for_each_range(
+        &self,
+        layout: &dyn ShardLayout,
+        executor: &dyn Executor,
+        visit: &mut dyn FnMut(Range<usize>, Option<usize>) -> Result<()>,
+    ) -> Result<()> {
+        let Some(plan) = self.begin_pass(layout, executor)? else {
+            for rows in row_tiles(0..self.n, self.tile_rows) {
+                visit(rows, None)?;
+            }
+            return Ok(());
+        };
+        for (index, entry) in plan.shards().iter().enumerate() {
+            if entry.rows.is_empty() {
+                continue;
+            }
+            let _active = ActiveShard::activate(executor, entry.device);
+            let resident = entry.is_resident().then_some(index);
+            for rows in row_tiles(entry.rows.clone(), entry.tile_rows) {
+                visit(rows, resident)?;
+            }
+        }
+        if plan.participating_devices() > 1 {
+            // Every device's rows of the `n × k` distance partials plus the
+            // `k`-length cluster statistics.
+            let bytes = (self.n as u64 + 1) * self.k_budget as u64 * self.elem as u64;
+            executor.charge(
+                format!(
+                    "all-reduce distance partials (n={}, k={})",
+                    self.n, self.k_budget
+                ),
+                Phase::PairwiseDistances,
+                OpClass::AllReduce,
+                OpCost::transfer(bytes),
+            );
+        }
+        Ok(())
+    }
+
+    /// Drain the fault events due at this pass boundary, recover (or
+    /// surface) any device loss, bump the pass counter and return this
+    /// pass's plan.
+    fn begin_pass(
+        &self,
+        layout: &dyn ShardLayout,
+        executor: &dyn Executor,
+    ) -> Result<Option<ShardPlan>> {
+        let Some(mut state) = self.lock() else {
+            return Ok(None);
+        };
+        let pass = state.pass;
+        while let Some(event) = executor.poll_fault(pass) {
+            match event.kind {
+                FaultKind::DeviceLost { device } => {
+                    if executor.recovery_policy() == RecoveryPolicy::Abort {
+                        return Err(CoreError::DeviceLost { device, pass });
+                    }
+                    self.recover(&mut state, layout, device, pass, executor)?;
+                }
+                // Scale-up is lazy (scale-down is immediate): the joiner is
+                // alive from now on but is only drafted by the next re-plan —
+                // a later loss, or the next fit — because re-balancing onto
+                // it mid-fit would discard survivors' resident tiles.
+                FaultKind::DeviceJoined { .. } => {}
+            }
+        }
+        state.pass += 1;
+        Ok(Some(state.plan.clone()))
+    }
+
+    /// Resume in place after losing `lost`: splice its rows over the
+    /// survivors, free its entries' bytes, track the fresh chunks' bytes on
+    /// their new owners (charging a re-upload where the layout needs one)
+    /// and account the work on one [`RecoveryReport`].
+    fn recover(
+        &self,
+        state: &mut PassState,
+        layout: &dyn ShardLayout,
+        lost: usize,
+        pass: usize,
+        executor: &dyn Executor,
+    ) -> Result<()> {
+        let (topology, alive) =
+            live_topology(executor).map_err(|_| CoreError::DeviceLost { device: lost, pass })?;
+        let (plan, carry) = state
+            .plan
+            .splice_out(lost, self.elem, topology, &alive, layout)?;
+        let before = executor.total_modeled_seconds();
+        let mut report = RecoveryReport::default();
+        for entry in state.plan.shards().iter().filter(|e| e.device == lost) {
+            report.rows_migrated += entry.rows.len() as u64;
+            let bytes = layout.entry_bytes(entry);
+            if bytes > 0 {
+                let _active = ActiveShard::activate(executor, lost);
+                executor.track_free(bytes);
+            }
+        }
+        for (entry, _) in plan
+            .shards()
+            .iter()
+            .zip(&carry)
+            .filter(|(_, c)| c.is_none())
+        {
+            let bytes = layout.entry_bytes(entry);
+            if bytes == 0 {
+                continue;
+            }
+            let _active = ActiveShard::activate(executor, entry.device);
+            executor.track_alloc(bytes);
+            if layout.reuploads_migrated_rows() {
+                executor.charge(
+                    format!(
+                        "re-upload sparsified K rows {}..{} after device {lost} loss",
+                        entry.rows.start, entry.rows.end
+                    ),
+                    Phase::KernelMatrix,
+                    OpClass::Transfer,
+                    OpCost::transfer(bytes),
+                );
+                report.bytes_reuploaded += bytes;
+            }
+        }
+        report.reshard_seconds = executor.total_modeled_seconds() - before;
+        layout.carry_over(state.plan.shards(), lost, &carry, &mut report);
+        state.plan = plan;
+        executor.note_recovery(&report);
+        Ok(())
+    }
 }
 
 /// A [`KernelSource`] that streams `K` in global row order while attributing
@@ -660,21 +991,15 @@ struct PassState {
 /// — to that device, then charges the per-pass all-reduce of the distance
 /// partials against the topology's link.
 ///
-/// The source is *elastic*: every [`KernelSource::for_each_tile`] pass starts
-/// by draining the executor's fault schedule and, on a device loss under
-/// [`RecoveryPolicy::Resume`], re-partitions the lost rows over the survivors
-/// in place (see the module docs). Recovered fits stay bit-identical to a
-/// fresh fit on the surviving topology because only pricing attribution ever
-/// moves.
+/// The source is *elastic*: every [`KernelSource::for_each_tile`] pass runs
+/// through the sharded pass, which recovers from a device loss under
+/// [`RecoveryPolicy::Resume`] (see the module docs). Recovered fits stay
+/// bit-identical to a fresh fit on the surviving topology because only
+/// pricing attribution ever moves.
 pub struct ShardedKernelSource<'a, T: Scalar> {
     inner: TiledKernel<'a, T>,
-    k_budget: usize,
-    /// Modeled upload footprint of the points — re-plans after a loss need
-    /// the same workspace math the original plan used.
-    input_bytes: u64,
-    /// The fit-level tile policy, honoured by elastic re-plans.
-    tiling: TilePolicy,
-    state: Mutex<PassState>,
+    layout: PanelLayout,
+    pass: ShardedPass,
     /// Resident shards (`DeviceShard::is_resident`) are computed — and
     /// charged to their device — exactly once, then replayed from this cache
     /// on later passes, the multi-device analogue of [`crate::FullKernel`]'s
@@ -706,147 +1031,83 @@ impl<'a, T: Scalar> ShardedKernelSource<'a, T> {
             )));
         }
         let elem = std::mem::size_of::<T>();
-        let input_bytes = points.upload_bytes();
-        let inner =
-            TiledKernel::build(points, kernel, plan.max_tile_rows().max(1), executor, false)?;
+        let layout = PanelLayout {
+            n,
+            k_budget,
+            elem,
+            input_bytes: points.upload_bytes(),
+            tiling: TilePolicy::Auto,
+        };
+        let tile_rows = plan.max_tile_rows().max(1);
+        let inner = TiledKernel::build(points, kernel, tile_rows, executor, false)?;
         // The kernel diagonal is read by every device's tile transform:
         // replicated bookkeeping, tracked on all devices.
         executor.track_alloc(n as u64 * elem as u64);
-        for shard in plan.shards() {
-            if shard.tile_rows == 0 {
-                continue;
-            }
-            let _active = ActiveShard::activate(executor, shard.device);
-            executor.track_alloc(tile_bytes(shard.tile_rows, n, elem));
-        }
         let resident = Mutex::new(vec![None; plan.shards().len()]);
+        let pass = ShardedPass::new(n, k_budget, elem, tile_rows, Some(plan));
+        pass.track_resident(&layout, executor);
         Ok(Self {
             inner,
-            k_budget,
-            input_bytes,
-            tiling: TilePolicy::Auto,
-            state: Mutex::new(PassState { plan, pass: 0 }),
+            layout,
+            pass,
             resident,
         })
     }
 
     /// Record the fit-level tile policy so elastic re-plans after a device
     /// loss honour it. The constructor's plan was already built with it; this
-    /// only steers future [`ShardPlan::reassign_device`] calls (defaults to
-    /// [`TilePolicy::Auto`]).
+    /// only steers future re-plans (defaults to [`TilePolicy::Auto`]).
     pub fn with_tiling(mut self, tiling: TilePolicy) -> Self {
-        self.tiling = tiling;
+        self.layout.tiling = tiling;
         self
     }
 
     /// The row partition and per-device tiling currently in effect (a
     /// snapshot — a device loss may re-plan between passes).
     pub fn plan(&self) -> ShardPlan {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .plan
-            .clone()
+        self.pass
+            .plan()
+            .expect("the exact sharded source is always built over a plan")
     }
+}
 
-    /// Modeled payload of the per-pass all-reduce: every device's rows of the
-    /// `n × k` distance partials plus the `k`-length cluster statistics.
-    fn all_reduce_bytes(&self) -> u64 {
-        let elem = std::mem::size_of::<T>() as u64;
-        (self.inner.n() as u64 + 1) * self.k_budget as u64 * elem
-    }
-
-    /// Drain due fault events at the pass boundary, recover (or surface) any
-    /// device loss, bump the pass counter and return this pass's shard walk.
-    fn begin_pass(&self, executor: &dyn Executor) -> Result<Vec<DeviceShard>> {
-        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let pass = state.pass;
-        while let Some(event) = executor.poll_fault(pass) {
-            match event.kind {
-                FaultKind::DeviceLost { device } => {
-                    if executor.recovery_policy() == RecoveryPolicy::Abort {
-                        return Err(CoreError::DeviceLost { device, pass });
-                    }
-                    self.recover(&mut state, device, pass, executor)?;
-                }
-                // Scale-up is lazy (scale-down is immediate): the joiner is
-                // alive from now on but is only drafted by the next re-plan —
-                // a later loss, or the next fit — because re-balancing onto
-                // it mid-fit would discard survivors' resident tiles.
-                FaultKind::DeviceJoined { .. } => {}
-            }
-        }
-        state.pass += 1;
-        Ok(state.plan.shards().to_vec())
-    }
-
-    /// Resume-in-place after losing `lost`: splice its rows over the
-    /// survivors, drop its buffers, carry the survivors' resident caches and
-    /// account the modeled recovery work on the executor.
-    fn recover(
+impl<T: Scalar> ShardLayout for ShardedKernelSource<'_, T> {
+    fn plan_entry(
         &self,
-        state: &mut PassState,
+        entries: &[DeviceShard],
+        index: usize,
+        topology: &DeviceTopology,
+    ) -> Result<usize> {
+        self.layout.plan_entry(entries, index, topology)
+    }
+
+    fn entry_bytes(&self, entry: &DeviceShard) -> u64 {
+        self.layout.entry_bytes(entry)
+    }
+
+    /// The lost device's resident tiles are gone (their rows are recomputed,
+    /// and charged, by their new owners on the next passes); survivors keep
+    /// theirs.
+    fn carry_over(
+        &self,
+        old: &[DeviceShard],
         lost: usize,
-        pass: usize,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        let Some(topology) = executor.topology() else {
-            return Err(CoreError::DeviceLost { device: lost, pass });
-        };
-        let alive: Vec<bool> = (0..topology.devices.len())
-            .map(|d| executor.shard_alive(d))
+        carry: &[Option<usize>],
+        report: &mut RecoveryReport,
+    ) {
+        let mut cache = self.resident.lock().unwrap_or_else(|p| p.into_inner());
+        for (index, entry) in old.iter().enumerate() {
+            if entry.device == lost && cache[index].is_some() {
+                report.replayed_tiles += 1;
+                report.replayed_bytes +=
+                    tile_bytes(entry.rows.len(), self.layout.n, self.layout.elem);
+            }
+        }
+        let rebuilt = carry
+            .iter()
+            .map(|c| c.and_then(|i| cache[i].take()))
             .collect();
-        let elem = std::mem::size_of::<T>();
-        let n = self.inner.n();
-        let (plan, carry) = state.plan.reassign_device(
-            lost,
-            self.k_budget,
-            elem,
-            self.input_bytes,
-            self.tiling,
-            topology,
-            &alive,
-        )?;
-        let mut resident = self.resident.lock().unwrap_or_else(|p| p.into_inner());
-        let mut delta = RecoveryReport::default();
-        // The lost device's tile buffers — and any resident tiles cached in
-        // them — are gone; its rows will be recomputed by their new owners
-        // (charged naturally when the next passes stream the fresh chunks).
-        for (index, shard) in state.plan.shards().iter().enumerate() {
-            if shard.device != lost {
-                continue;
-            }
-            delta.rows_migrated += shard.rows.len() as u64;
-            if resident[index].is_some() {
-                delta.replayed_tiles += 1;
-                delta.replayed_bytes += tile_bytes(shard.rows.len(), n, elem);
-            }
-            if shard.tile_rows > 0 {
-                let _active = ActiveShard::activate(executor, lost);
-                executor.track_free(tile_bytes(shard.tile_rows, n, elem));
-            }
-        }
-        // Carry the survivors' caches into the new plan and track the fresh
-        // chunks' tile buffers on their owners. The points are replicated, so
-        // nothing is re-uploaded for the dense sharded source.
-        let mut rebuilt: Vec<Option<DenseMatrix<T>>> = Vec::with_capacity(plan.shards().len());
-        for (j, carried) in carry.iter().enumerate() {
-            rebuilt.push(match carried {
-                Some(i) => resident[*i].take(),
-                None => {
-                    let shard = &plan.shards()[j];
-                    if shard.tile_rows > 0 {
-                        let _active = ActiveShard::activate(executor, shard.device);
-                        executor.track_alloc(tile_bytes(shard.tile_rows, n, elem));
-                    }
-                    None
-                }
-            });
-        }
-        *resident = rebuilt;
-        state.plan = plan;
-        executor.note_recovery(&delta);
-        Ok(())
+        *cache = rebuilt;
     }
 }
 
@@ -856,25 +1117,11 @@ impl<T: Scalar> KernelSource<T> for ShardedKernelSource<'_, T> {
     }
 
     fn tile_rows(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .plan
-            .max_tile_rows()
+        self.pass.max_tile_rows()
     }
 
     fn resident_bytes(&self) -> u64 {
-        let n = self.inner.n();
-        let elem = std::mem::size_of::<T>();
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .plan
-            .shards()
-            .iter()
-            .map(|s| tile_bytes(s.tile_rows, n, elem))
-            .max()
-            .unwrap_or(0)
+        tile_bytes(self.pass.max_tile_rows(), self.layout.n, self.layout.elem)
     }
 
     fn diag(&self, executor: &dyn Executor) -> Result<Vec<T>> {
@@ -884,67 +1131,25 @@ impl<T: Scalar> KernelSource<T> for ShardedKernelSource<'_, T> {
 
     fn row(&self, i: usize, executor: &dyn Executor) -> Result<Vec<T>> {
         // Seed rows are produced by (and priced on) the device owning them.
-        let device = self
-            .state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .plan
-            .device_of(i);
-        let _active = ActiveShard::activate(executor, device);
+        let _active = self.pass.activate_owner(i, executor);
         self.inner.row(i, executor)
     }
 
     fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
-        // Global row order, so engines fold tiles exactly as a single-device
-        // stream would — only the pricing attribution moves between devices.
-        let shards = self.begin_pass(executor)?;
-        for (index, shard) in shards.iter().enumerate() {
-            if shard.rows.is_empty() {
-                continue;
-            }
-            let _active = ActiveShard::activate(executor, shard.device);
-            if shard.is_resident() {
-                // The device holds its whole shard: compute (and charge) it
-                // on the first pass, replay it for free afterwards.
+        self.pass
+            .for_each_range(self, executor, &mut |rows, resident| {
+                let Some(index) = resident else {
+                    let tile = self.inner.compute_tile(rows.start, rows.end, executor)?;
+                    return f(rows, &tile);
+                };
+                // The device holds its whole shard: compute (and charge) it on
+                // the first pass, replay it for free afterwards.
                 let mut cache = self.resident.lock().unwrap_or_else(|p| p.into_inner());
                 if cache[index].is_none() {
-                    let tile =
-                        self.inner
-                            .compute_tile(shard.rows.start, shard.rows.end, executor)?;
-                    cache[index] = Some(tile);
+                    cache[index] = Some(self.inner.compute_tile(rows.start, rows.end, executor)?);
                 }
-                let tile = cache[index].as_ref().expect("populated above");
-                f(shard.rows.clone(), tile)?;
-                continue;
-            }
-            let mut r0 = shard.rows.start;
-            while r0 < shard.rows.end {
-                let r1 = (r0 + shard.tile_rows.max(1)).min(shard.rows.end);
-                let tile = self.inner.compute_tile(r0, r1, executor)?;
-                f(r0..r1, &tile)?;
-                r0 = r1;
-            }
-        }
-        let mut participants: Vec<usize> = shards
-            .iter()
-            .filter(|s| !s.rows.is_empty())
-            .map(|s| s.device)
-            .collect();
-        participants.sort_unstable();
-        participants.dedup();
-        if participants.len() > 1 {
-            executor.charge(
-                format!(
-                    "all-reduce distance partials (n={}, k={})",
-                    self.inner.n(),
-                    self.k_budget
-                ),
-                Phase::PairwiseDistances,
-                OpClass::AllReduce,
-                OpCost::transfer(self.all_reduce_bytes()),
-            );
-        }
-        Ok(())
+                f(rows, cache[index].as_ref().expect("populated above"))
+            })
     }
 }
 
@@ -952,6 +1157,8 @@ impl<T: Scalar> KernelSource<T> for ShardedKernelSource<'_, T> {
 mod tests {
     use super::*;
     use crate::kernel_matrix::compute_kernel_matrix;
+    use crate::nystrom::NystromKernel;
+    use crate::sparsified::{SparsifiedKernel, Sparsify};
     use crate::strategy::KernelMatrixStrategy;
     use popcorn_dense::DenseMatrix;
     use popcorn_gpusim::{DeviceSpec, FaultPlan, LinkSpec, ShardedExecutor, SimExecutor, GIB};
@@ -1398,31 +1605,104 @@ mod tests {
         assert_eq!(faulty.device_alive(), vec![true, false, true]);
     }
 
+    /// One kernel source of each representation over `points`, built on
+    /// `executor` with k = 2.
+    fn elastic_source<'a>(
+        representation: &str,
+        points: &'a DenseMatrix<f64>,
+        executor: &dyn Executor,
+    ) -> Box<dyn KernelSource<f64> + 'a> {
+        let input = FitInput::Dense(points);
+        let kernel = KernelFunction::paper_polynomial();
+        match representation {
+            "exact" => {
+                let plan = ShardPlan::for_executor(
+                    input.n(),
+                    2,
+                    8,
+                    input.upload_bytes(),
+                    TilePolicy::Auto,
+                    executor,
+                )
+                .unwrap();
+                Box::new(ShardedKernelSource::new(input, kernel, plan, 2, executor).unwrap())
+            }
+            "nystrom" => Box::new(
+                NystromKernel::new(input, kernel, 6, 3, TilePolicy::Auto, 2, executor).unwrap(),
+            ),
+            "csr" => Box::new(
+                SparsifiedKernel::build(
+                    input,
+                    kernel,
+                    Sparsify::Knn { neighbors: 6 },
+                    TilePolicy::Auto,
+                    2,
+                    executor,
+                )
+                .unwrap(),
+            ),
+            other => unreachable!("no {other} representation"),
+        }
+    }
+
+    /// Every representation recovers through the one sharded pass: `Abort`
+    /// surfaces the loss, `Resume` moves the lost rows onto the survivors
+    /// and accounts the move in the representation's own report fields.
     #[test]
-    fn abort_policy_surfaces_device_loss_as_an_error() {
-        let points = sample_points(11, 3);
-        let base = ShardedExecutor::homogeneous(DeviceSpec::a100_80gb(), 2, LinkSpec::nvlink(), 8);
-        let faulty = base.with_fault_plan(FaultPlan::new().lose(0, 0), RecoveryPolicy::Abort);
-        let plan =
-            ShardPlan::for_executor(11, 2, 8, 11 * 3 * 8, TilePolicy::Auto, &faulty).unwrap();
-        let source = ShardedKernelSource::new(
-            FitInput::Dense(&points),
-            KernelFunction::Linear,
-            plan,
-            2,
-            &faulty,
-        )
-        .unwrap();
-        let err = source
-            .for_each_tile(&faulty, &mut |_, _| Ok(()))
-            .unwrap_err();
-        assert_eq!(err, CoreError::DeviceLost { device: 0, pass: 0 });
-        // The loss was consumed: the executor's liveness now excludes the
-        // device, so a retried fit plans over the survivor alone.
-        assert_eq!(faulty.device_alive(), vec![false, true]);
-        let retry_plan =
-            ShardPlan::for_executor(11, 2, 8, 11 * 3 * 8, TilePolicy::Auto, &faulty).unwrap();
-        assert_eq!(retry_plan.device_count(), 1);
-        assert_eq!(retry_plan.shards()[0].device, 1);
+    fn elastic_recovery_table_covers_every_representation() {
+        let n = 24;
+        let points = sample_points(n, 3);
+        // (representation, replayed resident tiles, re-uploads migrated rows)
+        let table = [("exact", 1, false), ("nystrom", 0, false), ("csr", 0, true)];
+        for (name, replayed_tiles, reuploads) in table {
+            let base =
+                ShardedExecutor::homogeneous(DeviceSpec::a100_80gb(), 3, LinkSpec::nvlink(), 8);
+
+            let faulty = base.with_fault_plan(FaultPlan::new().lose(1, 1), RecoveryPolicy::Abort);
+            let source = elastic_source(name, &points, &faulty);
+            source.for_each_tile(&faulty, &mut |_, _| Ok(())).unwrap();
+            let err = source
+                .for_each_tile(&faulty, &mut |_, _| Ok(()))
+                .unwrap_err();
+            assert_eq!(err, CoreError::DeviceLost { device: 1, pass: 1 }, "{name}");
+            // The loss was consumed: a retried fit plans over the survivors.
+            assert_eq!(faulty.device_alive(), vec![true, false, true], "{name}");
+            let retry_plan =
+                ShardPlan::for_executor(n, 2, 8, 0, TilePolicy::Auto, &faulty).unwrap();
+            assert!(retry_plan.shards().iter().all(|s| s.device != 1), "{name}");
+
+            let faulty = base.with_fault_plan(FaultPlan::new().lose(1, 1), RecoveryPolicy::Resume);
+            let source = elastic_source(name, &points, &faulty);
+            let mut lost_seconds = 0.0;
+            for pass in 0..3 {
+                let mut covered = vec![0usize; n];
+                source
+                    .for_each_tile(&faulty, &mut |rows, _| {
+                        rows.for_each(|i| covered[i] += 1);
+                        Ok(())
+                    })
+                    .unwrap();
+                assert!(covered.iter().all(|&c| c == 1), "{name} pass {pass}");
+                if pass == 0 {
+                    lost_seconds = faulty.per_device_modeled_seconds()[1];
+                    assert!(lost_seconds > 0.0, "{name}: device 1 worked in pass 0");
+                }
+            }
+            // No entry is left on the lost device: it priced nothing after
+            // the recovery.
+            assert_eq!(
+                faulty.per_device_modeled_seconds()[1],
+                lost_seconds,
+                "{name}"
+            );
+            let report = faulty.recovery_report().expect("recovery must be recorded");
+            assert_eq!(report.events, 1, "{name}");
+            assert_eq!(report.devices_lost, 1, "{name}");
+            assert_eq!(report.rows_migrated, 8, "{name}");
+            assert_eq!(report.replayed_tiles, replayed_tiles, "{name}");
+            assert_eq!(report.replayed_bytes > 0, replayed_tiles > 0, "{name}");
+            assert_eq!(report.bytes_reuploaded > 0, reuploads, "{name}");
+            assert_eq!(report.reshard_seconds > 0.0, reuploads, "{name}");
+        }
     }
 }

@@ -36,19 +36,16 @@
 use crate::kernel::KernelFunction;
 use crate::kernel_matrix::INDEX_BYTES;
 use crate::kernel_source::{
-    plan_tile_rows, tile_bytes, workspace_bytes, CsrTileVisitor, KernelSource, TilePolicy,
-    TileVisitor, TiledKernel,
+    plan_tile_rows, row_tiles, tile_bytes, workspace_bytes, CsrTileVisitor, KernelSource,
+    TilePolicy, TileVisitor, TiledKernel, TrackedBytes,
 };
-use crate::shard::{split_rows_by_throughput, DeviceShard};
+use crate::shard::{DeviceShard, ShardLayout, ShardPlan, ShardedPass};
 use crate::solver::FitInput;
 use crate::{CoreError, Result};
 use popcorn_dense::{DenseMatrix, Scalar};
-use popcorn_gpusim::{
-    Executor, ExecutorExt, FaultKind, OpClass, OpCost, Phase, RecoveryPolicy, RecoveryReport,
-};
+use popcorn_gpusim::{DeviceTopology, Executor, ExecutorExt, OpClass, OpCost, Phase};
 use popcorn_sparse::CsrMatrix;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// Per-row sparsification rule for the kernel matrix (surfaced on the CLI as
 /// `--sparsify {knn:N|threshold:T}`). The diagonal is always kept: `K_ii` is
@@ -103,38 +100,6 @@ impl Sparsify {
     }
 }
 
-/// Frees a phase's transient working set on every exit path (the local copy
-/// of the guard in [`crate::nystrom`]).
-struct PhaseResidency<'a> {
-    executor: &'a dyn Executor,
-    bytes: u64,
-}
-
-impl Drop for PhaseResidency<'_> {
-    fn drop(&mut self) {
-        self.executor.track_free(self.bytes);
-    }
-}
-
-/// Restores "no active shard" on drop (the local copy of the guard in
-/// [`crate::shard`], for the multi-device row stream).
-struct ActiveShard<'a> {
-    executor: &'a dyn Executor,
-}
-
-impl<'a> ActiveShard<'a> {
-    fn activate(executor: &'a dyn Executor, device: usize) -> Self {
-        executor.activate_shard(Some(device));
-        Self { executor }
-    }
-}
-
-impl Drop for ActiveShard<'_> {
-    fn drop(&mut self) {
-        self.executor.activate_shard(None);
-    }
-}
-
 /// A sparsified kernel matrix held CSR-resident and streamed as zero-copy
 /// row-panel views.
 ///
@@ -154,20 +119,11 @@ pub struct SparsifiedKernel<T: Scalar> {
     /// `None` when the matrix was supplied pre-sparsified via
     /// [`SparsifiedKernel::from_csr`].
     dropped_mass: Option<f64>,
-    tile_rows: usize,
-    /// Multi-device row partition (None on a single device); interior-mutable
-    /// because a mid-fit device loss re-shards between passes.
-    shards: Option<Mutex<ElasticShards>>,
-    /// Total distance columns of the fit, sizing the per-pass all-reduce.
-    k_budget: usize,
-}
-
-/// The mutable multi-device state: the current row partition plus the pass
-/// counter that drives fault polling at pass boundaries.
-#[derive(Debug)]
-struct ElasticShards {
-    shards: Vec<DeviceShard>,
-    pass: usize,
+    /// Modeled workspace every device holds next to its CSR slice.
+    workspace: u128,
+    /// The row walk: plain tiling on one device, the elastic sharded pass
+    /// on several.
+    pass: ShardedPass,
 }
 
 impl<T: Scalar> SparsifiedKernel<T> {
@@ -208,18 +164,12 @@ impl<T: Scalar> SparsifiedKernel<T> {
         let exact = TiledKernel::build(input, kernel, panel_rows, executor, false)?;
         let diag = exact.diag(executor)?;
         let build_bytes = tile_bytes(panel_rows, n, elem) + n as u64 * elem as u64 + n as u64 * 8;
-        executor.track_alloc(build_bytes);
-        let transient = PhaseResidency {
-            executor,
-            bytes: build_bytes,
-        };
+        let transient = TrackedBytes::alloc(executor, build_bytes);
 
         let mut kept_cols: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut kept_vals: Vec<Vec<T>> = vec![Vec::new(); n];
         let mut row_total_abs = vec![0.0f64; n];
-        let mut r0 = 0usize;
-        while r0 < n {
-            let r1 = (r0 + panel_rows).min(n);
+        for Range { start: r0, end: r1 } in row_tiles(0..n, panel_rows) {
             let tile = exact.compute_tile(r0, r1, executor)?;
             executor.run(
                 format!(
@@ -243,7 +193,6 @@ impl<T: Scalar> SparsifiedKernel<T> {
                     }
                 },
             );
-            r0 = r1;
         }
 
         // Pattern symmetrization S ∪ Sᵀ: a kept (i, j) also keeps (j, i).
@@ -351,8 +300,6 @@ impl<T: Scalar> SparsifiedKernel<T> {
     ) -> Result<Self> {
         let n = csr.rows();
         let elem = std::mem::size_of::<T>();
-        let diag_bytes = n as u64 * elem as u64;
-        let csr_bytes = csr.storage_bytes(elem, INDEX_BYTES);
         // The engines consume zero-copy views of the resident CSR, so the
         // tile height is purely a batching choice — Rows(r) is honoured
         // verbatim, Auto and Full hand out one full-height panel.
@@ -365,77 +312,38 @@ impl<T: Scalar> SparsifiedKernel<T> {
             TilePolicy::Rows(rows) => rows.min(n),
             TilePolicy::Auto | TilePolicy::Full => n,
         };
-        let reject = |required: u128, available: u64| CoreError::DeviceMemoryExceeded {
-            required_bytes: u64::try_from(required).unwrap_or(u64::MAX),
-            available_bytes: available,
+        let layout = CsrLayout {
+            csr: &csr,
+            workspace: workspace_bytes(n, k_budget, elem, input_bytes),
+            tile_rows,
         };
-        let workspace = workspace_bytes(n, k_budget, elem, input_bytes);
-        let shards = if executor.shard_count() > 1 {
-            let Some(topology) = executor.topology() else {
-                return Err(CoreError::InvalidConfig(
-                    "the executor reports multiple shards but no device topology; \
-                     an Executor implementation overriding shard_count() must also \
-                     override topology()"
-                        .into(),
-                ));
-            };
-            let alive: Vec<bool> = (0..topology.devices.len())
-                .map(|d| executor.shard_alive(d))
-                .collect();
-            let split = split_rows_by_throughput(0..n, elem, topology, &alive)?;
-            let mut shards = Vec::with_capacity(split.len());
-            for (device, rows) in split {
-                // Each device holds its own rows' CSR slice (plus the
-                // replicated workspace and diagonal).
-                let required =
-                    workspace + shard_csr_bytes(&csr, &rows, elem) as u128 + diag_bytes as u128;
-                let mem = topology.devices[device].mem_bytes;
-                if required > mem as u128 {
-                    return Err(CoreError::DeviceShardMemoryExceeded {
-                        device,
-                        required_bytes: u64::try_from(required).unwrap_or(u64::MAX),
-                        available_bytes: mem,
-                    });
-                }
-                let tile_rows = tile_rows.min(rows.len());
-                shards.push(DeviceShard {
-                    device,
-                    rows,
-                    tile_rows,
-                });
-            }
-            Some(shards)
+        let plan = if executor.shard_count() > 1 {
+            Some(ShardPlan::for_executor_with(n, elem, executor, &layout)?)
         } else {
-            let required = workspace + csr_bytes as u128 + diag_bytes as u128;
+            let required = layout.device_bytes(csr.storage_bytes(elem, INDEX_BYTES));
             let mem = executor.device().mem_bytes;
             if required > mem as u128 {
-                return Err(reject(required, mem));
+                return Err(CoreError::DeviceMemoryExceeded {
+                    required_bytes: u64::try_from(required).unwrap_or(u64::MAX),
+                    available_bytes: mem,
+                });
             }
             None
         };
-        match &shards {
-            None => executor.track_alloc(csr_bytes + diag_bytes),
-            Some(shards) => {
-                // The diagonal is replicated bookkeeping (tracked on every
-                // device); each CSR row slice lives on its owning device.
-                executor.track_alloc(diag_bytes);
-                for shard in shards {
-                    if shard.rows.is_empty() {
-                        continue;
-                    }
-                    let _active = ActiveShard::activate(executor, shard.device);
-                    executor.track_alloc(shard_csr_bytes(&csr, &shard.rows, elem));
-                }
-            }
-        }
-        Ok(Self {
+        let workspace = layout.workspace;
+        let pass = ShardedPass::new(n, k_budget, elem, tile_rows, plan);
+        // The diagonal is replicated bookkeeping (tracked on every device);
+        // each CSR row slice lives on its owning device.
+        executor.track_alloc(n as u64 * elem as u64);
+        let source = Self {
             csr,
             diag,
             dropped_mass,
-            tile_rows,
-            shards: shards.map(|shards| Mutex::new(ElasticShards { shards, pass: 0 })),
-            k_budget,
-        })
+            workspace,
+            pass,
+        };
+        source.pass.track_resident(&source.layout(), executor);
+        Ok(source)
     }
 
     /// Stored entries of the sparsified matrix.
@@ -461,177 +369,12 @@ impl<T: Scalar> SparsifiedKernel<T> {
         self.dropped_mass
     }
 
-    /// Modeled payload of the per-pass all-reduce (matches the exact sharded
-    /// source).
-    fn all_reduce_bytes(&self) -> u64 {
-        let elem = std::mem::size_of::<T>() as u64;
-        (self.csr.rows() as u64 + 1) * self.k_budget as u64 * elem
-    }
-
-    /// Drain due fault events at the pass boundary, recover (or surface) any
-    /// device loss, bump the pass counter and return this pass's shard walk
-    /// (`None` on a single device).
-    fn begin_pass(&self, executor: &dyn Executor) -> Result<Option<Vec<DeviceShard>>> {
-        let Some(state) = &self.shards else {
-            return Ok(None);
-        };
-        let mut state = state.lock().unwrap_or_else(|p| p.into_inner());
-        let pass = state.pass;
-        while let Some(event) = executor.poll_fault(pass) {
-            match event.kind {
-                FaultKind::DeviceLost { device } => {
-                    if executor.recovery_policy() == RecoveryPolicy::Abort {
-                        return Err(CoreError::DeviceLost { device, pass });
-                    }
-                    self.recover(&mut state, device, executor)?;
-                }
-                // Scale-up is lazy (scale-down is immediate), matching the
-                // dense sharded source: the joiner is alive from now on but
-                // is only drafted by the next re-shard.
-                FaultKind::DeviceJoined { .. } => {}
-            }
+    fn layout(&self) -> CsrLayout<'_, T> {
+        CsrLayout {
+            csr: &self.csr,
+            workspace: self.workspace,
+            tile_rows: self.pass.tile_rows(),
         }
-        state.pass += 1;
-        Ok(Some(state.shards.clone()))
-    }
-
-    /// Resume-in-place after losing `lost`: splice its rows over the
-    /// survivors throughput-proportionally, drop its CSR slice and re-upload
-    /// the migrated slices to their new owners. Unlike the dense sharded
-    /// source (replicated points, recompute in place), the stored entries
-    /// only exist host-side, so migration is a modeled transfer.
-    fn recover(
-        &self,
-        state: &mut ElasticShards,
-        lost: usize,
-        executor: &dyn Executor,
-    ) -> Result<()> {
-        let Some(topology) = executor.topology() else {
-            return Err(CoreError::InvalidConfig(
-                "the executor reports multiple shards but no device topology; \
-                 an Executor implementation overriding shard_count() must also \
-                 override topology()"
-                    .into(),
-            ));
-        };
-        let alive: Vec<bool> = (0..topology.devices.len())
-            .map(|d| executor.shard_alive(d))
-            .collect();
-        let elem = std::mem::size_of::<T>();
-        let before = executor.total_modeled_seconds();
-        let mut delta = RecoveryReport::default();
-        let mut rebuilt: Vec<DeviceShard> = Vec::with_capacity(state.shards.len() + 1);
-        for shard in &state.shards {
-            if shard.device != lost {
-                rebuilt.push(shard.clone());
-                continue;
-            }
-            delta.rows_migrated += shard.rows.len() as u64;
-            if !shard.rows.is_empty() {
-                let _active = ActiveShard::activate(executor, lost);
-                executor.track_free(shard_csr_bytes(&self.csr, &shard.rows, elem));
-            }
-            for (device, rows) in
-                split_rows_by_throughput(shard.rows.clone(), elem, topology, &alive)?
-            {
-                if rows.is_empty() {
-                    continue;
-                }
-                let bytes = shard_csr_bytes(&self.csr, &rows, elem);
-                let _active = ActiveShard::activate(executor, device);
-                executor.track_alloc(bytes);
-                executor.charge(
-                    format!(
-                        "re-upload sparsified K rows {}..{} after device {lost} loss",
-                        rows.start, rows.end
-                    ),
-                    Phase::KernelMatrix,
-                    OpClass::Transfer,
-                    OpCost::transfer(bytes),
-                );
-                delta.bytes_reuploaded += bytes;
-                rebuilt.push(DeviceShard {
-                    device,
-                    rows: rows.clone(),
-                    tile_rows: self.tile_rows.min(rows.len()),
-                });
-            }
-        }
-        delta.reshard_seconds = executor.total_modeled_seconds() - before;
-        state.shards = rebuilt;
-        executor.note_recovery(&delta);
-        Ok(())
-    }
-
-    /// Walk the row ranges of one full pass — per-shard with device
-    /// attribution and a trailing all-reduce on a multi-device plan, plain
-    /// tiling otherwise.
-    fn stream(
-        &self,
-        executor: &dyn Executor,
-        f: &mut dyn FnMut(Range<usize>) -> Result<()>,
-    ) -> Result<()> {
-        match self.begin_pass(executor)? {
-            None => {
-                let n = self.csr.rows();
-                let mut r0 = 0usize;
-                while r0 < n {
-                    let r1 = (r0 + self.tile_rows).min(n);
-                    f(r0..r1)?;
-                    r0 = r1;
-                }
-            }
-            Some(shards) => {
-                for shard in &shards {
-                    if shard.rows.is_empty() {
-                        continue;
-                    }
-                    let _active = ActiveShard::activate(executor, shard.device);
-                    let mut r0 = shard.rows.start;
-                    while r0 < shard.rows.end {
-                        let r1 = (r0 + shard.tile_rows.max(1)).min(shard.rows.end);
-                        f(r0..r1)?;
-                        r0 = r1;
-                    }
-                }
-                let mut participants: Vec<usize> = shards
-                    .iter()
-                    .filter(|s| !s.rows.is_empty())
-                    .map(|s| s.device)
-                    .collect();
-                participants.sort_unstable();
-                participants.dedup();
-                if participants.len() > 1 {
-                    executor.charge(
-                        format!(
-                            "all-reduce distance partials (n={}, k={})",
-                            self.csr.rows(),
-                            self.k_budget
-                        ),
-                        Phase::PairwiseDistances,
-                        OpClass::AllReduce,
-                        OpCost::transfer(self.all_reduce_bytes()),
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The device owning row `i` (0 on a single device).
-    fn device_of(&self, i: usize) -> usize {
-        self.shards
-            .as_ref()
-            .and_then(|state| {
-                state
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .shards
-                    .iter()
-                    .find(|s| s.rows.contains(&i))
-                    .map(|s| s.device)
-            })
-            .unwrap_or(0)
     }
 }
 
@@ -641,7 +384,7 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
     }
 
     fn tile_rows(&self) -> usize {
-        self.tile_rows
+        self.pass.tile_rows()
     }
 
     fn resident_bytes(&self) -> u64 {
@@ -654,10 +397,7 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
     }
 
     fn row(&self, i: usize, executor: &dyn Executor) -> Result<Vec<T>> {
-        let _active = self
-            .shards
-            .as_ref()
-            .map(|_| ActiveShard::activate(executor, self.device_of(i)));
+        let _active = self.pass.activate_owner(i, executor);
         let n = self.csr.rows();
         let elem = std::mem::size_of::<T>();
         let (cols, vals) = self.csr.row(i);
@@ -687,7 +427,7 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
     fn for_each_tile(&self, executor: &dyn Executor, f: &mut TileVisitor<'_, T>) -> Result<()> {
         let n = self.csr.rows();
         let elem = std::mem::size_of::<T>();
-        self.stream(executor, &mut |rows| {
+        let walk = &mut |rows: Range<usize>, _| {
             let panel = self.csr.rows_view(rows.clone());
             let tile = executor.run(
                 format!(
@@ -716,7 +456,8 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
                 },
             );
             f(rows, &tile)
-        })
+        };
+        self.pass.for_each_range(&self.layout(), executor, walk)
     }
 
     fn approx_error_bound(&self) -> Option<f64> {
@@ -734,9 +475,10 @@ impl<T: Scalar> KernelSource<T> for SparsifiedKernel<T> {
     ) -> Result<()> {
         // The panels are zero-copy views of the resident CSR: streaming
         // charges nothing, the engines charge their nnz-proportional folds.
-        self.stream(executor, &mut |rows| {
-            f(rows.clone(), self.csr.rows_view(rows))
-        })
+        self.pass
+            .for_each_range(&self.layout(), executor, &mut |rows, _| {
+                f(rows.clone(), self.csr.rows_view(rows))
+            })
     }
 }
 
@@ -749,6 +491,62 @@ fn shard_csr_bytes<T: Scalar>(csr: &CsrMatrix<T>, rows: &Range<usize>, elem: usi
     let ptrs = csr.row_ptrs();
     let nnz = (ptrs[rows.end] - ptrs[rows.start]) as u64;
     nnz * (elem + INDEX_BYTES) as u64 + (rows.len() as u64 + 1) * INDEX_BYTES as u64
+}
+
+/// The CSR representation's side of the sharded pass: each entry holds its
+/// rows' CSR slice, which must fit next to the replicated workspace and
+/// diagonal, and the stored entries exist only host-side, so migrated rows
+/// are re-uploaded.
+struct CsrLayout<'a, T: Scalar> {
+    csr: &'a CsrMatrix<T>,
+    workspace: u128,
+    tile_rows: usize,
+}
+
+impl<T: Scalar> CsrLayout<'_, T> {
+    /// Bytes a device needs for `csr_bytes` of CSR slices next to the
+    /// workspace and the diagonal.
+    fn device_bytes(&self, csr_bytes: u64) -> u128 {
+        let diag_bytes = self.csr.rows() as u64 * std::mem::size_of::<T>() as u64;
+        self.workspace + csr_bytes as u128 + diag_bytes as u128
+    }
+}
+
+impl<T: Scalar> ShardLayout for CsrLayout<'_, T> {
+    /// Checks everything the entry's device holds, so a recovery that piles
+    /// migrated rows onto a survivor is rejected exactly like a build would
+    /// be.
+    fn plan_entry(
+        &self,
+        entries: &[DeviceShard],
+        index: usize,
+        topology: &DeviceTopology,
+    ) -> Result<usize> {
+        let entry = &entries[index];
+        let held = entries
+            .iter()
+            .filter(|e| e.device == entry.device)
+            .map(|e| self.entry_bytes(e))
+            .sum();
+        let required = self.device_bytes(held);
+        let mem = topology.devices[entry.device].mem_bytes;
+        if required > mem as u128 {
+            return Err(CoreError::DeviceShardMemoryExceeded {
+                device: entry.device,
+                required_bytes: u64::try_from(required).unwrap_or(u64::MAX),
+                available_bytes: mem,
+            });
+        }
+        Ok(self.tile_rows.min(entry.rows.len()))
+    }
+
+    fn entry_bytes(&self, entry: &DeviceShard) -> u64 {
+        shard_csr_bytes(self.csr, &entry.rows, std::mem::size_of::<T>())
+    }
+
+    fn reuploads_migrated_rows(&self) -> bool {
+        true
+    }
 }
 
 /// Apply `sparsify` to one dense row: append the kept `(column, value)`
@@ -838,7 +636,10 @@ fn merge_union<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use popcorn_gpusim::{DeviceSpec, ResidencyScope, SimExecutor};
+    use popcorn_gpusim::{
+        DeviceSpec, FaultPlan, LinkSpec, RecoveryPolicy, ResidencyScope, ShardedExecutor,
+        SimExecutor,
+    };
 
     fn sample_points(n: usize, d: usize) -> DenseMatrix<f64> {
         DenseMatrix::from_fn(n, d, |i, j| {
@@ -1184,7 +985,6 @@ mod tests {
 
     #[test]
     fn device_loss_mid_stream_re_shards_and_re_uploads_csr_slices() {
-        use popcorn_gpusim::{FaultPlan, LinkSpec, ShardedExecutor};
         let n = 60;
         let points = sample_points(n, 4);
         let base = ShardedExecutor::homogeneous(DeviceSpec::a100_80gb(), 3, LinkSpec::nvlink(), 8);
@@ -1217,14 +1017,13 @@ mod tests {
         }
         // The walk no longer touches device 1 and the migration was accounted
         // as a modeled re-upload of the lost CSR slices.
-        let state = source.shards.as_ref().unwrap().lock().unwrap();
-        assert!(state.shards.iter().all(|s| s.device != 1));
+        let plan = source.pass.plan().unwrap();
+        assert!(plan.shards().iter().all(|s| s.device != 1));
         assert_eq!(
-            state.shards.iter().map(|s| s.rows.len()).sum::<usize>(),
+            plan.shards().iter().map(|s| s.rows.len()).sum::<usize>(),
             n,
             "the re-shard must still cover every row"
         );
-        drop(state);
         let report = faulty.recovery_report().expect("recovery must be recorded");
         assert_eq!(report.events, 1);
         assert_eq!(report.devices_lost, 1);
@@ -1232,5 +1031,53 @@ mod tests {
         assert!(report.bytes_reuploaded > 0);
         assert!(report.reshard_seconds > 0.0);
         assert_eq!(faulty.device_alive(), vec![true, false, true]);
+    }
+
+    #[test]
+    fn survivor_too_small_for_the_migrated_rows_is_rejected() {
+        let n = 60;
+        let points = sample_points(n, 4);
+        let small = DeviceSpec::a100_80gb().with_mem_bytes(14_014);
+        let build = |executor: &dyn Executor| {
+            SparsifiedKernel::build(
+                FitInput::Dense(&points),
+                KernelFunction::paper_polynomial(),
+                Sparsify::Knn { neighbors: 8 },
+                TilePolicy::Auto,
+                4,
+                executor,
+            )
+        };
+        // One such device cannot hold the whole CSR kernel...
+        let err = build(&SimExecutor::new(small.clone(), 8)).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::DeviceMemoryExceeded {
+                required_bytes: 16_876,
+                available_bytes: 14_014,
+            }
+        );
+        // ...but two hold half each. Losing one must not pile every row onto
+        // the survivor unchecked.
+        let faulty = ShardedExecutor::homogeneous(small, 2, LinkSpec::nvlink(), 8)
+            .with_fault_plan(FaultPlan::new().lose(1, 1), RecoveryPolicy::Resume);
+        let source = build(&faulty).unwrap();
+        source
+            .for_each_csr_tile(&faulty, &mut |_rows, _panel| Ok(()))
+            .unwrap();
+        let err = source
+            .for_each_csr_tile(&faulty, &mut |_rows, _panel| Ok(()))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::DeviceShardMemoryExceeded {
+                    device: 0,
+                    available_bytes: 14_014,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 }
