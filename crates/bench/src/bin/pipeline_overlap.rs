@@ -1,44 +1,23 @@
-//! Pipeline overlap — the persistent worker pool and double-buffered tile
-//! streaming.
+//! Pipeline overlap — double-buffered tile streaming (modeled).
 //!
-//! Two claims from the executor/driver redesign, measured and verified:
-//!
-//! 1. **Persistent pool vs spawn-per-phase (measured).** The lockstep
-//!    restart driver used to spawn a scoped thread set per phase and per
-//!    tile; a tiled sweep with small tiles paid that spawn/join set per
-//!    tile. The persistent pool spawns workers once per drive and feeds
-//!    them phases over channels. This bench runs the same tiled
-//!    multi-restart sweep under both fan-outs (`BatchOptions::fanout`),
-//!    asserts bit-identity, and records both measured host wall-clocks.
-//!
-//! 2. **Double-buffered streaming (modeled).** With
-//!    `Streaming::DoubleBuffered`, a single tiled fit prices tile `t+1`'s
-//!    production (panel GEMM + upload on the copy/compute engines) as
-//!    hidden under tile `t`'s distance fold; the first tile stays exposed.
-//!    The bench runs one fit with streaming off and on, asserts the traces
-//!    are bit-identical, and records serial vs overlapped modeled seconds.
-//!
-//! Kernel-level parallelism (POPCORN_NUM_THREADS) is pinned to 1 in a
-//! re-exec'd child so the measured pool-vs-spawn ratio isolates the
-//! driver's own fan-out; artifacts land in
+//! With `Streaming::DoubleBuffered`, a single tiled fit prices tile `t+1`'s
+//! production (panel GEMM + upload on the copy/compute engines) as hidden
+//! under tile `t`'s distance fold; the first tile stays exposed. The bench
+//! runs one fit with streaming off and on, asserts the labels and traces are
+//! bit-identical, and records serial vs overlapped modeled seconds in
 //! `experiment-results/BENCH_pipeline_overlap.json`.
 
-use popcorn_bench::harness::{execute_batch_with, ExecutedBatch};
-use popcorn_bench::{ExperimentOptions, Solver};
-use popcorn_core::batch::{BatchOptions, HostFanout, HostParallelism};
+use popcorn_bench::ExperimentOptions;
 use popcorn_core::solver::{FitInput, Solver as _};
 use popcorn_core::{KernelKmeans, TilePolicy};
 use popcorn_data::synthetic::uniform_dataset;
 use popcorn_gpusim::Streaming;
 
-/// Sweep shape: small tiles on purpose, so the spawn-per-phase fan-out pays
-/// its per-tile spawn/join cost many times per iteration while the pool
-/// pays one channel round-trip.
+/// Fit shape: small tiles, so every pass has many tiles to overlap.
 const N: usize = 768;
 const D: usize = 12;
 const K: usize = 6;
 const TILE_ROWS: usize = 64;
-const RESTARTS: usize = 8;
 const ITERATIONS: usize = 6;
 
 fn main() {
@@ -50,108 +29,16 @@ fn main() {
             std::process::exit(2);
         }
     };
-    // The measured comparison wants per-operation kernel parallelism pinned
-    // to one thread, but that setting caches process-wide — so re-exec with
-    // the env set unless the user already chose one.
-    if std::env::var_os(popcorn_dense::parallel::NUM_THREADS_ENV).is_none() {
-        match std::env::current_exe().and_then(|exe| {
-            std::process::Command::new(exe)
-                .args(&raw_args)
-                .env(popcorn_dense::parallel::NUM_THREADS_ENV, "1")
-                .status()
-        }) {
-            Ok(status) => std::process::exit(status.code().unwrap_or(1)),
-            Err(e) => eprintln!(
-                "note: could not re-exec with pinned kernel threads ({e}); \
-                 the measured ratio below mixes kernel- and job-level parallelism"
-            ),
-        }
-    }
-    run(&options);
-}
-
-fn run(options: &ExperimentOptions) {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if available < 4 {
-        println!(
-            "NOTE: this host reports {available} hardware thread(s) — a pool \
-             speedup is not honestly measurable below 4 cores. The run still \
-             verifies the bit-identity contract under both fan-outs; treat \
-             the measured ratio as overhead accounting, not speedup."
-        );
-    }
-    let threads = available.max(4);
     let dataset = uniform_dataset::<f32>(N, D, options.seed);
     let config = options
         .config(K)
         .with_max_iter(ITERATIONS)
-        .with_tiling(TilePolicy::Rows(TILE_ROWS));
-
-    let run_fanout = |fanout: HostFanout| -> ExecutedBatch {
-        execute_batch_with(
-            Solver::Popcorn,
-            dataset.name(),
-            FitInput::Dense(dataset.points()),
-            config.clone(),
-            &[K],
-            RESTARTS,
-            &BatchOptions::default()
-                .with_host_threads(HostParallelism::Threads(threads))
-                .with_fanout(fanout),
-        )
-        .expect("pipeline overlap batch")
-    };
-    let spawn = run_fanout(HostFanout::SpawnPerPhase);
-    let pool = run_fanout(HostFanout::PersistentPool);
-
-    // Bit-identity between the fan-outs is a hard contract; verify before
-    // reporting any timing.
-    assert_eq!(spawn.batch.results.len(), pool.batch.results.len());
-    assert_eq!(spawn.batch.best, pool.batch.best);
-    for (a, b) in spawn.batch.results.iter().zip(pool.batch.results.iter()) {
-        assert_eq!(a.labels, b.labels, "pool changed labels");
-        assert_eq!(
-            a.objective.to_bits(),
-            b.objective.to_bits(),
-            "pool changed an objective"
-        );
-        assert_eq!(a.trace.len(), b.trace.len());
-        for (x, y) in a.trace.records().iter().zip(b.trace.records().iter()) {
-            assert_eq!(x.name, y.name, "pool reordered a job trace");
-            assert_eq!(x.modeled_seconds.to_bits(), y.modeled_seconds.to_bits());
-        }
-    }
-    assert_eq!(
-        spawn.batch.report.peak_resident_bytes,
-        pool.batch.report.peak_resident_bytes
-    );
-
-    let spawn_seconds = spawn.batch.report.host_seconds;
-    let pool_seconds = pool.batch.report.host_seconds;
-    let pool_ratio = if pool_seconds > 0.0 {
-        spawn_seconds / pool_seconds
-    } else {
-        1.0
-    };
-    let tiles_per_iteration = N.div_ceil(TILE_ROWS);
-    println!(
-        "\nPersistent pool vs spawn-per-phase (n={N}, d={D}, k={K}, {RESTARTS} restarts, \
-         {ITERATIONS} iterations, {TILE_ROWS}-row tiles = {tiles_per_iteration} tiles/iteration, \
-         {threads} host threads, kernel threads {}):",
-        popcorn_dense::parallel::num_threads()
-    );
-    println!("  spawn-per-phase: drive measured {spawn_seconds:.4} s");
-    println!("  persistent pool: drive measured {pool_seconds:.4} s  ({pool_ratio:.2}x)");
-    println!("  bit-identity between fan-outs: verified (labels, objectives, traces, peak)");
-
-    // Part 2: the modeled streaming overlap on a single tiled fit.
-    let single = config.clone().with_seed(options.seed);
-    let serial_fit = KernelKmeans::new(single.clone())
+        .with_tiling(TilePolicy::Rows(TILE_ROWS))
+        .with_seed(options.seed);
+    let serial_fit = KernelKmeans::new(config.clone())
         .fit_input(FitInput::Dense(dataset.points()))
         .expect("serial fit");
-    let streamed_fit = KernelKmeans::new(single.with_streaming(Streaming::DoubleBuffered))
+    let streamed_fit = KernelKmeans::new(config.with_streaming(Streaming::DoubleBuffered))
         .fit_input(FitInput::Dense(dataset.points()))
         .expect("streamed fit");
     assert_eq!(serial_fit.labels, streamed_fit.labels);
@@ -164,7 +51,8 @@ fn run(options: &ExperimentOptions) {
     let streamed_total = streamed_fit.modeled_wallclock_seconds();
     assert!(streamed_total <= serial_total + 1e-15);
     println!(
-        "\nDouble-buffered tile streaming (single fit, {} tiles over {} passes):",
+        "Double-buffered tile streaming (n={N}, d={D}, k={K}, {TILE_ROWS}-row tiles, \
+         {} tiles over {} passes):",
         report.tiles, report.passes
     );
     println!("  serial modeled wall-clock:    {serial_total:.6} s");
@@ -177,24 +65,15 @@ fn run(options: &ExperimentOptions) {
 
     let json = format!(
         "{{\n  \"n\": {N},\n  \"d\": {D},\n  \"k\": {K},\n  \"tile_rows\": {TILE_ROWS},\n  \
-         \"restarts\": {RESTARTS},\n  \"iterations\": {ITERATIONS},\n  \
-         \"tiles_per_iteration\": {tiles_per_iteration},\n  \
-         \"available_parallelism\": {available},\n  \
-         \"host_threads\": {threads},\n  \
-         \"kernel_threads\": {},\n  \
-         \"speedup_measurable\": {},\n  \
-         \"spawn_per_phase_host_seconds\": {spawn_seconds:.6},\n  \
-         \"persistent_pool_host_seconds\": {pool_seconds:.6},\n  \
-         \"pool_vs_spawn_ratio\": {pool_ratio:.4},\n  \
-         \"fanout_bit_identical\": true,\n  \
+         \"iterations\": {ITERATIONS},\n  \
+         \"tiles_per_iteration\": {},\n  \
          \"streaming\": {{\n    \"passes\": {},\n    \"tiles\": {},\n    \
          \"serial_modeled_seconds\": {serial_total:.9},\n    \
          \"streamed_modeled_seconds\": {streamed_total:.9},\n    \
          \"hidden_seconds\": {:.9},\n    \
          \"exposed_first_tile_seconds\": {:.9},\n    \
          \"trace_bit_identical\": true\n  }}\n}}\n",
-        popcorn_dense::parallel::num_threads(),
-        available >= 4,
+        N.div_ceil(TILE_ROWS),
         report.passes,
         report.tiles,
         report.hidden_seconds,

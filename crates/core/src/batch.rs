@@ -11,24 +11,26 @@
 //!
 //! The kernel solvers (Popcorn, CPU reference, dense GPU baseline) override
 //! `fit_batch` with the shared-source **lockstep** driver in this module
-//! ([`drive_shared_source`]): all jobs advance one iteration at a time so a
+//! ([`drive_shared_source_with`]): all jobs advance one iteration at a time so a
 //! single tile pass over the [`KernelSource`] feeds every job — which is what
 //! makes the batched-tiled combination pay off when `K` is recomputed per
 //! tile. Lloyd's algorithm has no kernel matrix to share but still charges
-//! its single points upload once per batch ([`drive_shared_kernel`]).
+//! its single points upload once per batch ([`drive_shared_kernel_with`]).
 //! [`BatchReport`] records what the sharing bought: the modeled cost of the
 //! batch as executed (shared phase charged once) next to the modeled cost of
 //! the same jobs run independently.
 //!
 //! Large sweeps additionally run **host-parallel**: per-job engine work fans
 //! out across host threads ([`BatchOptions::host_threads`], CLI
-//! `--host-threads`). By default the lockstep driver runs a **persistent
-//! worker pool** ([`HostFanout::PersistentPool`]): workers are spawned once
-//! per drive, own fixed contiguous job chunks for its whole lifetime —
-//! seeding included — and synchronize per phase and per tile over channels,
-//! so many-small-tile sweeps no longer pay a spawn/join set per tile. All
-//! merging happens on the driver thread in fixed job order, so results and
-//! traces stay bit-identical to the sequential drive at any thread count.
+//! `--host-threads`). With more than one thread the lockstep driver runs a
+//! **persistent worker pool**: workers are spawned once per drive, own fixed
+//! contiguous job chunks for its whole lifetime — seeding included — and
+//! synchronize per phase and per tile over channels, so many-small-tile
+//! sweeps pay one channel round-trip per tile, not a spawn/join set. With
+//! one thread the same phases run inline on the driver thread. All merging
+//! happens on the driver thread in fixed job order, so results, traces and
+//! the streaming report stay bit-identical to the sequential drive at any
+//! thread count.
 //! [`BatchReport::host_seconds`] carries the measured wall-clock of the
 //! drive, and [`BatchReport::modeled_concurrent_seconds`] the stream-aware
 //! modeled wall-clock (jobs sharing one device serialize on the compute
@@ -94,49 +96,18 @@ impl HostParallelism {
     }
 }
 
-/// Which fan-out mechanism the lockstep driver uses for its per-job work
-/// when [`BatchOptions::host_threads`] resolves above one.
-///
-/// Both mechanisms execute the identical per-job work in the identical
-/// order-insensitive partition, so results, traces and residency are
-/// bit-identical between them (and to the sequential drive); they differ
-/// only in measured host wall-clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HostFanout {
-    /// One persistent worker pool for the whole drive (the default): workers
-    /// are spawned once, own fixed contiguous job chunks from seeding through
-    /// the last iteration, and synchronize per phase and per tile over
-    /// channels.
-    #[default]
-    PersistentPool,
-    /// The historical mechanism: scoped threads spawned per phase (and per
-    /// tile inside the tile pass). Kept as an explicit opt-out so the
-    /// `pipeline_overlap` bench can measure, in-process, what the pool saves
-    /// on spawn/join overhead.
-    SpawnPerPhase,
-}
-
 /// Batch-level execution options (everything that is not part of a job's
 /// clustering configuration), passed to `Solver::fit_batch_with`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchOptions {
     /// Host threads the lockstep driver fans per-job work across.
     pub host_threads: HostParallelism,
-    /// How those threads are run: a persistent pool (default) or
-    /// spawn-per-phase scoped threads.
-    pub fanout: HostFanout,
 }
 
 impl BatchOptions {
     /// Builder-style setter for the host-thread policy.
     pub fn with_host_threads(mut self, host_threads: HostParallelism) -> Self {
         self.host_threads = host_threads;
-        self
-    }
-
-    /// Builder-style setter for the fan-out mechanism.
-    pub fn with_fanout(mut self, fanout: HostFanout) -> Self {
-        self.fanout = fanout;
         self
     }
 }
@@ -569,25 +540,6 @@ where
 
 /// Drive every job's clustering iterations over shared per-batch state whose
 /// trace the caller has already sliced into `shared_trace` (e.g. Lloyd's
-/// single shared upload) — sequential convenience wrapper over
-/// [`drive_shared_kernel_with`].
-pub fn drive_shared_kernel(
-    jobs: &[FitJob],
-    shared_executor: &dyn Executor,
-    shared_trace: OpTrace,
-    run_job: impl Fn(&FitJob, &dyn Executor) -> Result<ClusteringResult> + Sync,
-) -> Result<BatchResult> {
-    drive_shared_kernel_with(
-        jobs,
-        shared_executor,
-        shared_trace,
-        &BatchOptions::default(),
-        run_job,
-    )
-}
-
-/// Drive every job's clustering iterations over shared per-batch state whose
-/// trace the caller has already sliced into `shared_trace` (e.g. Lloyd's
 /// single shared upload).
 ///
 /// `run_job` runs one job's iterations on the executor it is handed. Each job
@@ -653,89 +605,55 @@ pub fn drive_shared_kernel_with(
 }
 
 /// Per-job state owned by the lockstep driver: the job's forked executor,
-/// its distance engine and its iteration state. Workers borrow disjoint
-/// contiguous chunks of these — for one phase under
-/// [`HostFanout::SpawnPerPhase`], for the whole drive under
-/// [`HostFanout::PersistentPool`].
+/// its distance engine and its iteration state. With more than one thread,
+/// each pool worker owns a disjoint contiguous chunk of these for the whole
+/// drive.
 struct JobRun<T: Scalar> {
     executor: Box<dyn Executor>,
     engine: Box<dyn DistanceEngine<T>>,
     state: LoopState,
 }
 
-/// Seed one job: initial labels drawn on the job's own fork, then a fresh
-/// [`LoopState`]. Charges are identical in every fan-out mode — the shared
-/// `diag(K)` cache is pre-warmed on the shared executor before any seeding
-/// runs, and row pulls charge the job's fork deterministically.
-fn seed_job<T: Scalar>(
-    job: &FitJob,
-    run: &mut JobRun<T>,
-    source: &dyn KernelSource<T>,
-) -> Result<()> {
-    let labels = initial_assignments_source(
-        source,
-        job.config.k,
-        job.config.init,
-        job.config.seed,
-        &run.executor,
-    )?;
-    run.state = LoopState::new(labels, job.config.k);
-    Ok(())
+/// One phase of the lockstep loop, applied to every job in job order. `D`
+/// and `C` carry the dense tile and the CSR panel: plain borrows on the
+/// driver thread ([`LockstepPhase`]), raw parts on a pool worker's command
+/// channel ([`PoolCommand`]).
+enum Phase<D, C> {
+    /// Seed every job.
+    Seed,
+    /// `begin_iteration` for every active job.
+    Begin,
+    /// Fold one tile of `K` into every active job.
+    Tile(Range<usize>, D),
+    /// Fold one CSR row panel of `K` into every active job.
+    CsrTile(Range<usize>, C),
+    /// `finish_iteration` + assignment step for every active job.
+    Finish,
 }
 
-/// `begin_iteration` for one job, if it is still active.
-fn begin_phase<T: Scalar>(
-    job: &FitJob,
-    run: &mut JobRun<T>,
-    source: &dyn KernelSource<T>,
-) -> Result<()> {
-    if run.state.active(&job.config) {
-        run.engine.begin_iteration(
-            run.state.iteration(),
-            source,
-            run.state.labels(),
-            &run.executor,
-        )?;
+impl<D, C> Phase<D, C> {
+    /// The same phase with its tile payloads converted.
+    fn map<'s, D2, C2>(
+        &'s self,
+        tile: impl FnOnce(&'s D) -> D2,
+        panel: impl FnOnce(&'s C) -> C2,
+    ) -> Phase<D2, C2> {
+        match self {
+            Phase::Seed => Phase::Seed,
+            Phase::Begin => Phase::Begin,
+            Phase::Tile(rows, d) => Phase::Tile(rows.clone(), tile(d)),
+            Phase::CsrTile(rows, c) => Phase::CsrTile(rows.clone(), panel(c)),
+            Phase::Finish => Phase::Finish,
+        }
     }
-    Ok(())
 }
 
-/// Fold one tile of `K` into one job, if it is still active.
-fn tile_phase<T: Scalar>(
-    job: &FitJob,
-    run: &mut JobRun<T>,
-    rows: &Range<usize>,
-    tile: &DenseMatrix<T>,
-) -> Result<()> {
-    if run.state.active(&job.config) {
-        run.engine.consume_tile(rows.clone(), tile, &run.executor)?;
-    }
-    Ok(())
-}
+/// A phase as the driver holds it, borrowing the tile the source visitor
+/// is holding.
+type LockstepPhase<'a, T> = Phase<&'a DenseMatrix<T>, CsrRows<'a, T>>;
 
-/// Fold one CSR row panel of `K` into one job, if it is still active.
-fn csr_tile_phase<T: Scalar>(
-    job: &FitJob,
-    run: &mut JobRun<T>,
-    rows: &Range<usize>,
-    panel: CsrRows<'_, T>,
-) -> Result<()> {
-    if run.state.active(&job.config) {
-        run.engine
-            .consume_csr_tile(rows.clone(), panel, &run.executor)?;
-    }
-    Ok(())
-}
-
-/// `finish_iteration` + assignment step for one job, if it is still active.
-fn finish_phase<T: Scalar>(job: &FitJob, run: &mut JobRun<T>) -> Result<()> {
-    if run.state.active(&job.config) {
-        let distances = run.engine.finish_iteration(&run.executor)?;
-        run.state.step(&distances, &job.config, &run.executor);
-        run.engine.recycle_distances(distances);
-    }
-    Ok(())
-}
+/// A phase as it crosses a pool worker's command channel.
+type PoolCommand<T> = Phase<TilePtr<T>, CsrTilePtr<T>>;
 
 /// A raw pointer to the tile the driver is holding inside a `for_each_tile`
 /// visitor, smuggled to the pool workers through their command channels.
@@ -804,67 +722,74 @@ impl<T: Scalar> CsrTilePtr<T> {
 // every use on the receiving worker.
 unsafe impl<T: Scalar> Send for CsrTilePtr<T> {}
 
-/// One phase of work the driver broadcasts to every pool worker.
-enum PoolCommand<T: Scalar> {
-    /// Seed every job in the worker's chunk.
-    Seed,
-    /// `begin_iteration` for every active job in the chunk.
-    Begin,
-    /// Fold one tile of `K` into every active job in the chunk.
-    Tile(Range<usize>, TilePtr<T>),
-    /// Fold one CSR row panel of `K` into every active job in the chunk.
-    CsrTile(Range<usize>, CsrTilePtr<T>),
-    /// `finish_iteration` + assignment step for every active job in the chunk.
-    Finish,
-}
-
-/// A pool worker's answer to one [`PoolCommand`].
-struct PoolAck {
-    /// Earliest failing job in the worker's chunk: `(global index, error)`.
+/// One chunk's answer to a phase.
+struct PhaseAck {
+    /// Earliest failing job in the chunk: `(global index, error)`.
     error: Option<(usize, CoreError)>,
     /// Jobs in the chunk still active after the phase.
     active: usize,
-    /// Fold seconds the chunk's forks charged during a tile phase, when the
-    /// worker was told to measure them (streaming accounting; zero
-    /// otherwise).
+    /// Fold seconds each job's fork charged during a tile phase, under its
+    /// global job index, when streaming is measured (empty otherwise).
+    consume: Vec<(usize, EngineSeconds)>,
+}
+
+/// What one phase reported back over every chunk: still-active jobs and,
+/// for tile phases under streaming measurement, the summed fold seconds.
+struct PhaseOutcome {
+    active: usize,
     consume: EngineSeconds,
 }
 
-/// Execute one broadcast phase over a worker's chunk, mirroring the
-/// sequential drive within the chunk: jobs run in order and the chunk stops
-/// at its first failure.
-fn pool_phase<T: Scalar>(
+/// Execute one phase over a chunk of jobs starting at global index
+/// `chunk_start`, mirroring the sequential drive within the chunk: jobs run
+/// in order and the chunk stops at its first failure.
+fn run_phase<T: Scalar>(
     chunk_start: usize,
     jobs: &[FitJob],
     runs: &mut [JobRun<T>],
     source: &dyn KernelSource<T>,
-    command: &PoolCommand<T>,
+    phase: &LockstepPhase<'_, T>,
     measure: bool,
-) -> PoolAck {
+) -> PhaseAck {
     let mut error = None;
-    let mut consume = EngineSeconds::default();
+    let mut consume = Vec::new();
     for (offset, (job, run)) in jobs.iter().zip(runs.iter_mut()).enumerate() {
+        let index = chunk_start + offset;
         // Streaming accounting: a tile's consume segment is the fold charges
         // across every fork, measured per job off its own trace.
-        let mark = (measure && matches!(command, PoolCommand::Tile(..) | PoolCommand::CsrTile(..)))
+        let mark = (measure && matches!(phase, Phase::Tile(..) | Phase::CsrTile(..)))
             .then(|| run.executor.trace_len());
-        let outcome = match command {
-            PoolCommand::Seed => seed_job(job, run, source),
-            PoolCommand::Begin => begin_phase(job, run, source),
-            // SAFETY: the driver holds the visitor's tile borrow until every
-            // worker acks this command (see `TilePtr`).
-            PoolCommand::Tile(rows, tile) => tile_phase(job, run, rows, unsafe { &*tile.0 }),
-            // SAFETY: same barrier, sparse panel (see `CsrTilePtr`).
-            PoolCommand::CsrTile(rows, panel) => {
-                csr_tile_phase(job, run, rows, unsafe { panel.view() })
+        let outcome = match phase {
+            Phase::Seed => initial_assignments_source(
+                source,
+                job.config.k,
+                job.config.init,
+                job.config.seed,
+                &run.executor,
+            )
+            .map(|labels| run.state = LoopState::new(labels, job.config.k)),
+            _ if !run.state.active(&job.config) => Ok(()),
+            Phase::Begin => run.engine.begin_iteration(
+                run.state.iteration(),
+                source,
+                run.state.labels(),
+                &run.executor,
+            ),
+            Phase::Tile(rows, tile) => run.engine.consume_tile(rows.clone(), tile, &run.executor),
+            Phase::CsrTile(rows, panel) => {
+                run.engine
+                    .consume_csr_tile(rows.clone(), *panel, &run.executor)
             }
-            PoolCommand::Finish => finish_phase(job, run),
+            Phase::Finish => run.engine.finish_iteration(&run.executor).map(|distances| {
+                run.state.step(&distances, &job.config, &run.executor);
+                run.engine.recycle_distances(distances);
+            }),
         };
         if let Some(mark) = mark {
-            consume.accumulate(run.executor.engine_seconds_since(mark));
+            consume.push((index, run.executor.engine_seconds_since(mark)));
         }
         if let Err(e) = outcome {
-            error = Some((chunk_start + offset, e));
+            error = Some((index, e));
             break;
         }
     }
@@ -873,11 +798,42 @@ fn pool_phase<T: Scalar>(
         .zip(runs.iter())
         .filter(|(job, run)| run.state.active(&job.config))
         .count();
-    PoolAck {
+    PhaseAck {
         error,
         active,
         consume,
     }
+}
+
+/// Merge every chunk's answer to one phase. Job errors surface as the error
+/// of the earliest failing job, and the fold seconds are summed in job
+/// order — both exactly as the sequential drive produces them, whatever the
+/// chunking or the order the acks arrived in.
+fn merge_acks(acks: impl IntoIterator<Item = PhaseAck>) -> Result<PhaseOutcome> {
+    let mut active = 0usize;
+    let mut consume = Vec::new();
+    let mut earliest: Option<(usize, CoreError)> = None;
+    for ack in acks {
+        active += ack.active;
+        consume.extend(ack.consume);
+        if let Some((index, error)) = ack.error {
+            if earliest.as_ref().is_none_or(|(best, _)| index < *best) {
+                earliest = Some((index, error));
+            }
+        }
+    }
+    if let Some((_, error)) = earliest {
+        return Err(error);
+    }
+    consume.sort_unstable_by_key(|&(index, _)| index);
+    let mut total = EngineSeconds::default();
+    for (_, seconds) in consume {
+        total.accumulate(seconds);
+    }
+    Ok(PhaseOutcome {
+        active,
+        consume: total,
+    })
 }
 
 /// Body of one persistent pool worker: execute broadcast phases over an
@@ -891,11 +847,18 @@ fn pool_worker<T: Scalar>(
     source: &dyn KernelSource<T>,
     measure: bool,
     commands: mpsc::Receiver<PoolCommand<T>>,
-    acks: mpsc::Sender<std::thread::Result<PoolAck>>,
+    acks: mpsc::Sender<std::thread::Result<PhaseAck>>,
 ) {
     for command in commands.iter() {
+        let phase = command.map(
+            // SAFETY: the driver holds the visitor's tile borrow until every
+            // worker acks this command (see `TilePtr`).
+            |tile| unsafe { &*tile.0 },
+            // SAFETY: same barrier, sparse panel (see `CsrTilePtr`).
+            |panel| unsafe { panel.view() },
+        );
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool_phase(chunk_start, jobs, &mut *runs, source, &command, measure)
+            run_phase(chunk_start, jobs, &mut *runs, source, &phase, measure)
         }));
         let panicked = outcome.is_err();
         if acks.send(outcome).is_err() || panicked {
@@ -906,114 +869,143 @@ fn pool_worker<T: Scalar>(
     }
 }
 
-/// Broadcast one command to every pool worker, then block until every
-/// worker has acknowledged it. Returns the total count of still-active jobs
-/// reported by the acks.
+/// Broadcast one phase to every pool worker, then block until every worker
+/// has acknowledged it, and merge the acks ([`merge_acks`]).
 ///
 /// The full barrier is what makes [`TilePtr`] sound, and what makes panic
 /// propagation safe: on a panic ack the driver still collects the remaining
 /// acks — so no worker can still be touching its chunk or the tile — before
 /// resuming the panic on the driver thread, exactly as if the job had
-/// panicked inline. Job errors surface as the error of the earliest failing
-/// job, matching the sequential drive.
+/// panicked inline.
 fn pool_dispatch<T: Scalar>(
     senders: &[mpsc::Sender<PoolCommand<T>>],
-    acks: &mpsc::Receiver<std::thread::Result<PoolAck>>,
-    make: impl Fn() -> PoolCommand<T>,
+    acks: &mpsc::Receiver<std::thread::Result<PhaseAck>>,
+    phase: &LockstepPhase<'_, T>,
 ) -> Result<PhaseOutcome> {
     let mut sent = 0usize;
     for sender in senders {
         // A send only fails if a worker exited, which it does solely after
         // shipping a panic ack — and the driver resumes panics at the very
         // next barrier, so in practice every send succeeds.
-        if sender.send(make()).is_ok() {
+        let command = phase.map(|tile| TilePtr(*tile), |panel| CsrTilePtr::new(*panel));
+        if sender.send(command).is_ok() {
             sent += 1;
         }
     }
-    let mut active = 0usize;
-    let mut consume = EngineSeconds::default();
-    let mut received = 0usize;
-    let mut earliest: Option<(usize, CoreError)> = None;
+    let mut received = Vec::with_capacity(sent);
     let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+    let mut answered = 0usize;
     for _ in 0..sent {
         match acks.recv() {
-            Ok(Ok(ack)) => {
-                received += 1;
-                active += ack.active;
-                consume.accumulate(ack.consume);
-                if let Some((index, error)) = ack.error {
-                    let earlier = match &earliest {
-                        Some((best, _)) => index < *best,
-                        None => true,
-                    };
-                    if earlier {
-                        earliest = Some((index, error));
-                    }
-                }
-            }
+            Ok(Ok(ack)) => received.push(ack),
             Ok(Err(payload)) => {
-                received += 1;
-                if panic.is_none() {
-                    panic = Some(payload);
-                }
+                panic.get_or_insert(payload);
             }
             Err(_) => break,
         }
+        answered += 1;
     }
     if let Some(payload) = panic {
         std::panic::resume_unwind(payload);
     }
-    if let Some((_, error)) = earliest {
-        return Err(error);
-    }
-    if sent < senders.len() || received < sent {
+    let outcome = merge_acks(received)?;
+    if sent < senders.len() || answered < sent {
         // Only reachable if a worker died without a panic ack — a driver
         // bug, not a job failure, so fail loudly rather than mislabel it.
         unreachable!("pool worker hung up without acknowledging a phase");
     }
-    Ok(PhaseOutcome { active, consume })
+    Ok(outcome)
 }
 
-/// What one pool barrier reported back: still-active jobs and, for tile
-/// phases under streaming measurement, the summed fold seconds.
-struct PhaseOutcome {
-    active: usize,
-    consume: EngineSeconds,
+/// Seeding (when `seed` is set) plus the lockstep iteration loop: per global
+/// iteration, `Begin`, one tile pass over `K` whose every tile is folded
+/// into every active job, then `Finish`. `dispatch` applies one phase to
+/// every job — inline on the driver thread or broadcast to the pool.
+fn lockstep_loop<T: Scalar>(
+    source: &dyn KernelSource<T>,
+    shared_executor: &dyn Executor,
+    meter: &mut StreamMeter,
+    seed: bool,
+    mut active: usize,
+    mut dispatch: impl FnMut(LockstepPhase<'_, T>) -> Result<PhaseOutcome>,
+) -> Result<()> {
+    if seed {
+        dispatch(Phase::Seed)?;
+    }
+    while active > 0 {
+        dispatch(Phase::Begin)?;
+        meter.begin_pass(shared_executor);
+        // One tile pass over K serves every active job; a tiled source
+        // charges the recomputation once, to the shared executor, on the
+        // driver thread, while the per-job folds run wherever `dispatch`
+        // sends them. A CSR-resident source streams zero-copy sparse panels
+        // instead.
+        if source.csr().is_some() {
+            source.for_each_csr_tile(shared_executor, &mut |rows, panel| {
+                meter.tile_produced(shared_executor);
+                let outcome = dispatch(Phase::CsrTile(rows, panel))?;
+                meter.tile_consumed_external(outcome.consume);
+                Ok(())
+            })?;
+        } else {
+            source.for_each_tile(shared_executor, &mut |rows, tile| {
+                meter.tile_produced(shared_executor);
+                let outcome = dispatch(Phase::Tile(rows, tile))?;
+                meter.tile_consumed_external(outcome.consume);
+                Ok(())
+            })?;
+        }
+        meter.finish_pass();
+        active = dispatch(Phase::Finish)?.active;
+    }
+    Ok(())
 }
 
-/// Seeding plus the lockstep iteration loop over `runs`, via the persistent
-/// worker pool: workers are spawned once, each owning a balanced contiguous
-/// chunk of jobs, and every phase (and every tile of the per-iteration tile
-/// pass) is one channel broadcast + ack barrier instead of a spawn/join set.
-fn pool_lockstep<T: Scalar>(
+/// Seeding plus the lockstep iteration loop over `runs`. With one worker
+/// every phase runs inline on the driver thread; with more, a persistent
+/// pool is spawned once, each worker owning a balanced contiguous chunk of
+/// jobs, and every phase (and every tile of the per-iteration tile pass) is
+/// one channel broadcast + ack barrier. Both execute the identical per-job
+/// work and merge it in job order, so everything downstream of this call is
+/// bit-identical at any thread count.
+fn run_lockstep<T: Scalar>(
     jobs: &[FitJob],
     runs: &mut [JobRun<T>],
     source: &dyn KernelSource<T>,
     shared_executor: &dyn Executor,
     threads: usize,
-    seed_threads: usize,
     meter: &mut StreamMeter,
 ) -> Result<()> {
-    // Sharded sources seed on the driver thread before the pool spins up
-    // (see `run_lockstep` for why); the pool then only runs iterations.
-    if seed_threads <= 1 {
-        for (job, run) in jobs.iter().zip(runs.iter_mut()) {
-            seed_job(job, run, source)?;
-        }
+    // Kernel k-means++ row pulls on a *sharded* source go through the
+    // shared shard-activation state (`Executor::activate_shard` on the
+    // topology every fork shares), so a sharded drive seeds on the driver
+    // thread before the pool spins up; per-fork row charges are
+    // deterministic either way.
+    let seed_on_workers = shared_executor.shard_count() == 1;
+    if !seed_on_workers {
+        merge_acks([run_phase(0, jobs, runs, source, &Phase::Seed, false)])?;
     }
-    let seed_in_pool = seed_threads > 1;
-    // `active` only changes in the finish phase, whose barrier returns the
-    // updated count — so the loop condition sees exactly what the
-    // sequential interleaving would. The initial count comes from the
-    // placeholder states, which answer `active()` identically to freshly
-    // seeded ones (both start unconverged at iteration 0).
-    let mut active = jobs
+    // `active` only changes in the finish phase, whose merged acks return
+    // the updated count. The initial count comes from the placeholder
+    // states, which answer `active()` identically to freshly seeded ones
+    // (both start unconverged at iteration 0).
+    let active = jobs
         .iter()
         .zip(runs.iter())
         .filter(|(job, run)| run.state.active(&job.config))
         .count();
-    let ranges = balanced_chunks(jobs.len(), threads);
     let measure = meter.active();
+    if threads <= 1 {
+        return lockstep_loop(
+            source,
+            shared_executor,
+            meter,
+            seed_on_workers,
+            active,
+            |phase| merge_acks([run_phase(0, jobs, runs, source, &phase, measure)]),
+        );
+    }
+    let ranges = balanced_chunks(jobs.len(), threads);
     std::thread::scope(|scope| -> Result<()> {
         let (ack_tx, ack_rx) = mpsc::channel();
         let mut senders = Vec::with_capacity(ranges.len());
@@ -1039,173 +1031,18 @@ fn pool_lockstep<T: Scalar>(
             senders.push(command_tx);
         }
         drop(ack_tx);
-
-        if seed_in_pool {
-            pool_dispatch(&senders, &ack_rx, || PoolCommand::Seed)?;
-        }
-        while active > 0 {
-            pool_dispatch(&senders, &ack_rx, || PoolCommand::Begin)?;
-            meter.begin_pass(shared_executor);
-            // One tile pass over K serves every active job; a tiled source
-            // charges the recomputation once, to the shared executor, on
-            // this thread, while the per-job folds run on the pool. A
-            // CSR-resident source streams zero-copy sparse panels instead.
-            if source.csr().is_some() {
-                source.for_each_csr_tile(shared_executor, &mut |rows, panel| {
-                    meter.tile_produced(shared_executor);
-                    let outcome = pool_dispatch(&senders, &ack_rx, || {
-                        PoolCommand::CsrTile(rows.clone(), CsrTilePtr::new(panel))
-                    })?;
-                    meter.tile_consumed_external(outcome.consume);
-                    Ok(())
-                })?;
-            } else {
-                source.for_each_tile(shared_executor, &mut |rows, tile| {
-                    meter.tile_produced(shared_executor);
-                    let outcome = pool_dispatch(&senders, &ack_rx, || {
-                        PoolCommand::Tile(rows.clone(), TilePtr(tile))
-                    })?;
-                    meter.tile_consumed_external(outcome.consume);
-                    Ok(())
-                })?;
-            }
-            meter.finish_pass();
-            active = pool_dispatch(&senders, &ack_rx, || PoolCommand::Finish)?.active;
-        }
-        // Dropping `senders` closes every command channel; workers drain
-        // and exit, and the scope joins them. An early `?` above takes the
-        // same path, so error returns never deadlock.
-        Ok(())
-    })
-}
-
-/// Seeding plus the lockstep iteration loop over `runs`, dispatched to the
-/// configured [`HostFanout`]. Both fan-outs execute the identical per-job
-/// work in the identical chunk partition, so everything downstream of this
-/// call is bit-identical between them (and to the sequential drive).
-fn run_lockstep<T: Scalar>(
-    jobs: &[FitJob],
-    runs: &mut [JobRun<T>],
-    source: &dyn KernelSource<T>,
-    shared_executor: &dyn Executor,
-    threads: usize,
-    fanout: HostFanout,
-    meter: &mut StreamMeter,
-) -> Result<()> {
-    // Kernel k-means++ row pulls on a *sharded* source go through the
-    // shared shard-activation state (`Executor::activate_shard` on the
-    // topology every fork shares), so seeding fans out only on single-shard
-    // topologies; per-fork row charges are deterministic either way.
-    let seed_threads = if shared_executor.shard_count() == 1 {
-        threads
-    } else {
-        1
-    };
-    if threads > 1 && jobs.len() > 1 && fanout == HostFanout::PersistentPool {
-        return pool_lockstep(
-            jobs,
-            runs,
+        // Dropping `senders` when the loop returns closes every command
+        // channel; workers drain and exit, and the scope joins them. An
+        // early `?` takes the same path, so error returns never deadlock.
+        lockstep_loop(
             source,
             shared_executor,
-            threads,
-            seed_threads,
             meter,
-        );
-    }
-    par_over_jobs(jobs, runs, seed_threads, |job, run| {
-        seed_job(job, run, source)
-    })?;
-    // Streaming accounting for the shared pass: produce segments are the
-    // tile recomputation on the shared executor; consume segments sum the
-    // per-job folds measured off each fork's own trace (marks taken per
-    // tile). All measurement runs on the driver thread, between phases.
-    let mut fork_marks: Vec<usize> = Vec::new();
-    loop {
-        if !jobs
-            .iter()
-            .zip(runs.iter())
-            .any(|(job, run)| run.state.active(&job.config))
-        {
-            break;
-        }
-        par_over_jobs(jobs, runs, threads, |job, run| {
-            begin_phase(job, run, source)
-        })?;
-        meter.begin_pass(shared_executor);
-        // One tile pass over K serves every active job; a tiled source
-        // charges the recomputation here, once, to the shared executor,
-        // while the per-job folds over the tile fan out across workers. A
-        // CSR-resident source streams zero-copy sparse panels instead.
-        if source.csr().is_some() {
-            source.for_each_csr_tile(shared_executor, &mut |rows, panel| {
-                meter.tile_produced(shared_executor);
-                if meter.active() {
-                    mark_forks(runs, &mut fork_marks);
-                }
-                par_over_jobs(jobs, runs, threads, |job, run| {
-                    csr_tile_phase(job, run, &rows, panel)
-                })?;
-                if meter.active() {
-                    meter.tile_consumed_external(forks_consumed(runs, &fork_marks));
-                }
-                Ok(())
-            })?;
-        } else {
-            source.for_each_tile(shared_executor, &mut |rows, tile| {
-                meter.tile_produced(shared_executor);
-                if meter.active() {
-                    mark_forks(runs, &mut fork_marks);
-                }
-                par_over_jobs(jobs, runs, threads, |job, run| {
-                    tile_phase(job, run, &rows, tile)
-                })?;
-                if meter.active() {
-                    meter.tile_consumed_external(forks_consumed(runs, &fork_marks));
-                }
-                Ok(())
-            })?;
-        }
-        meter.finish_pass();
-        par_over_jobs(jobs, runs, threads, |job, run| finish_phase(job, run))?;
-    }
-    Ok(())
-}
-
-/// Snapshot every fork's trace length (the start of a consume segment).
-fn mark_forks<T: Scalar>(runs: &[JobRun<T>], marks: &mut Vec<usize>) {
-    marks.clear();
-    marks.extend(runs.iter().map(|run| run.executor.trace_len()));
-}
-
-/// Sum the engine seconds every fork charged since its mark — one tile's
-/// consume segment under the lockstep drive (forks share one device, so
-/// concurrent folds serialize on its engines).
-fn forks_consumed<T: Scalar>(runs: &[JobRun<T>], marks: &[usize]) -> EngineSeconds {
-    let mut total = EngineSeconds::default();
-    for (run, &mark) in runs.iter().zip(marks) {
-        total.accumulate(run.executor.engine_seconds_since(mark));
-    }
-    total
-}
-
-/// Drive every job's clustering iterations over one shared [`KernelSource`]
-/// in **lockstep** — sequential convenience wrapper over
-/// [`drive_shared_source_with`].
-pub fn drive_shared_source<T: Scalar>(
-    jobs: &[FitJob],
-    source: &dyn KernelSource<T>,
-    shared_executor: &dyn Executor,
-    mark: usize,
-    make_engine: impl FnMut(&FitJob) -> Box<dyn DistanceEngine<T>>,
-) -> Result<BatchResult> {
-    drive_shared_source_with(
-        jobs,
-        source,
-        shared_executor,
-        mark,
-        &BatchOptions::default(),
-        make_engine,
-    )
+            seed_on_workers,
+            active,
+            |phase| pool_dispatch(&senders, &ack_rx, &phase),
+        )
+    })
 }
 
 /// Drive every job's clustering iterations over one shared [`KernelSource`]
@@ -1228,22 +1065,18 @@ pub fn drive_shared_source<T: Scalar>(
 ///
 /// [`BatchOptions::host_threads`] fans the per-job seeding and
 /// `begin_iteration` / `consume_tile` / `finish_iteration` + assignment work
-/// of each phase out across host threads. The tile stream itself stays on
-/// the driver thread (one pass, charged once, exactly as before); workers
-/// own disjoint contiguous job chunks, every job's state/engine/executor is
-/// touched by at most one thread per phase, and all merging back into the
-/// shared executor happens on the driver thread in fixed job order — so
-/// results, traces and residency accounting are **bit-identical at any
-/// thread count**. What changes is only the measured host wall-clock
-/// ([`BatchReport::host_seconds`]).
-///
-/// With the default [`HostFanout::PersistentPool`], workers are spawned
-/// **once per drive** and fed phases over channels, so a tiled sweep pays
-/// one channel round-trip per tile instead of a spawn/join set per tile —
-/// the pool lives from kernel k-means++ seeding (fanned across the same
-/// workers once the shared `diag(K)` cache is pre-warmed) through the last
-/// iteration. [`HostFanout::SpawnPerPhase`] keeps the historical
-/// scoped-spawn behaviour as an explicit opt-out for overhead comparisons.
+/// of each phase out across a persistent worker pool, spawned **once per
+/// drive** and fed phases over channels, so a tiled sweep pays one channel
+/// round-trip per tile. The pool lives from kernel k-means++ seeding
+/// (fanned across the same workers once the shared `diag(K)` cache is
+/// pre-warmed) through the last iteration. The tile stream itself stays on
+/// the driver thread (one pass, charged once); workers own disjoint
+/// contiguous job chunks, and all merging back into the shared executor
+/// happens on the driver thread in fixed job order — so results, traces,
+/// residency accounting and the streaming report are **bit-identical at any
+/// thread count**. With one worker the same phases run inline on the driver
+/// thread, with no spawn and no channel. What changes is only the measured
+/// host wall-clock ([`BatchReport::host_seconds`]).
 pub fn drive_shared_source_with<T: Scalar>(
     jobs: &[FitJob],
     source: &dyn KernelSource<T>,
@@ -1275,8 +1108,8 @@ pub fn drive_shared_source_with<T: Scalar>(
     let shared_baseline = shared_executor.resident_bytes();
     // Forks and engines are built up front on the driver thread, in job
     // order, so every fork sees the same residency baseline it would in the
-    // sequential drive. The placeholder states are replaced by `seed_job`
-    // (on the pool workers or inline) before the first iteration.
+    // sequential drive. The placeholder states are replaced by the seeding
+    // phase (on the pool workers or inline) before the first iteration.
     let mut runs: Vec<JobRun<T>> = jobs
         .iter()
         .map(|job| JobRun {
@@ -1299,7 +1132,6 @@ pub fn drive_shared_source_with<T: Scalar>(
         source,
         shared_executor,
         threads,
-        options.fanout,
         &mut meter,
     )?;
 
@@ -1528,15 +1360,23 @@ mod tests {
 
     #[test]
     fn double_buffered_batch_reports_the_overlay_and_keeps_results_bit_identical() {
-        let points = blob_points();
-        let jobs_off = FitJob::restarts(&config(2).with_tiling(TilePolicy::Rows(6)), 0..3);
-        let jobs_on = FitJob::restarts(
-            &config(2)
-                .with_tiling(TilePolicy::Rows(6))
-                .with_streaming(Streaming::DoubleBuffered),
-            0..3,
+        // Three groups interleaved by index, so every 16-row tile of the
+        // 4-tile pass folds into jobs of every k.
+        let points = DenseMatrix::from_fn(61, 3, |i, j| {
+            (i % 3) as f64 * 9.0 + ((3 * i + j) as f64 * 0.37).sin()
+        });
+        let base = KernelKmeansConfig::paper_defaults(2)
+            .with_max_iter(4)
+            .with_convergence_check(false, 0.0)
+            .with_tiling(TilePolicy::Rows(16));
+        let k_values = [2, 3, 5, 7];
+        let jobs_off = FitJob::k_sweep(&base, &k_values, 2);
+        let jobs_on = FitJob::k_sweep(
+            &base.clone().with_streaming(Streaming::DoubleBuffered),
+            &k_values,
+            2,
         );
-        let solver = KernelKmeans::new(config(2));
+        let solver = KernelKmeans::new(base);
         let off = solver
             .fit_batch(FitInput::from(&points), &jobs_off)
             .unwrap();
@@ -1569,21 +1409,36 @@ mod tests {
         );
 
         // The overlay is fan-out independent: the persistent pool measures
-        // the same modeled segments the sequential drive does.
-        let pooled = solver
-            .fit_batch_with(
-                FitInput::from(&points),
-                &jobs_on,
-                &BatchOptions::default().with_host_threads(HostParallelism::Threads(2)),
-            )
-            .unwrap();
-        let pooled_report = pooled.report.streaming.as_ref().expect("metered batch");
-        assert_eq!(pooled_report.passes, report.passes);
-        assert_eq!(pooled_report.tiles, report.tiles);
-        assert_eq!(
-            pooled_report.hidden_seconds.to_bits(),
-            report.hidden_seconds.to_bits()
-        );
+        // the same modeled segments and sums them in the same job order as
+        // the sequential drive, at any thread count.
+        let bits = |s: &EngineSeconds| (s.compute.to_bits(), s.copy.to_bits());
+        for threads in [2usize, 3, 4, 8] {
+            let pooled = solver
+                .fit_batch_with(
+                    FitInput::from(&points),
+                    &jobs_on,
+                    &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
+                )
+                .unwrap();
+            let pooled_report = pooled.report.streaming.as_ref().expect("metered batch");
+            assert_eq!(pooled_report.passes, report.passes);
+            assert_eq!(pooled_report.tiles, report.tiles);
+            assert_eq!(
+                bits(&pooled_report.produce),
+                bits(&report.produce),
+                "threads {threads}"
+            );
+            assert_eq!(
+                bits(&pooled_report.consume),
+                bits(&report.consume),
+                "threads {threads}"
+            );
+            assert_eq!(
+                pooled_report.hidden_seconds.to_bits(),
+                report.hidden_seconds.to_bits(),
+                "threads {threads}"
+            );
+        }
 
         // Mixed streaming policies cannot share one pass pricing.
         let mixed = vec![jobs_off[0].clone(), jobs_on[1].clone()];
@@ -1647,64 +1502,23 @@ mod tests {
         let points = blob_points();
         let jobs = FitJob::k_sweep(&config(2), &[2], 5);
         assert_eq!(jobs.len(), 5);
-        for fanout in [HostFanout::PersistentPool, HostFanout::SpawnPerPhase] {
-            let batch = KernelKmeans::new(config(2))
-                .fit_batch_with(
-                    FitInput::from(&points),
-                    &jobs,
-                    &BatchOptions::default()
-                        .with_host_threads(HostParallelism::Threads(4))
-                        .with_fanout(fanout),
-                )
-                .unwrap();
-            assert_eq!(batch.report.host_threads, 4, "{fanout:?}");
-            // More threads than jobs clamp to the job count.
-            let batch = KernelKmeans::new(config(2))
-                .fit_batch_with(
-                    FitInput::from(&points),
-                    &jobs,
-                    &BatchOptions::default()
-                        .with_host_threads(HostParallelism::Threads(64))
-                        .with_fanout(fanout),
-                )
-                .unwrap();
-            assert_eq!(batch.report.host_threads, 5, "{fanout:?}");
-        }
-    }
-
-    #[test]
-    fn fanout_modes_produce_identical_batches() {
-        assert_eq!(HostFanout::default(), HostFanout::PersistentPool);
-        let options = BatchOptions::default().with_fanout(HostFanout::SpawnPerPhase);
-        assert_eq!(options.fanout, HostFanout::SpawnPerPhase);
-        let points = blob_points();
-        let jobs = FitJob::k_sweep(&config(2), &[2, 3], 2);
-        let pool = KernelKmeans::new(config(2))
+        let batch = KernelKmeans::new(config(2))
             .fit_batch_with(
                 FitInput::from(&points),
                 &jobs,
-                &BatchOptions::default().with_host_threads(HostParallelism::Threads(3)),
+                &BatchOptions::default().with_host_threads(HostParallelism::Threads(4)),
             )
             .unwrap();
-        let spawn = KernelKmeans::new(config(2))
+        assert_eq!(batch.report.host_threads, 4);
+        // More threads than jobs clamp to the job count.
+        let batch = KernelKmeans::new(config(2))
             .fit_batch_with(
                 FitInput::from(&points),
                 &jobs,
-                &BatchOptions::default()
-                    .with_host_threads(HostParallelism::Threads(3))
-                    .with_fanout(HostFanout::SpawnPerPhase),
+                &BatchOptions::default().with_host_threads(HostParallelism::Threads(64)),
             )
             .unwrap();
-        assert_eq!(pool.best, spawn.best);
-        assert_eq!(
-            pool.report.peak_resident_bytes,
-            spawn.report.peak_resident_bytes
-        );
-        for (a, b) in pool.results.iter().zip(spawn.results.iter()) {
-            assert_eq!(a.labels, b.labels);
-            assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-            assert_eq!(a.trace.len(), b.trace.len());
-        }
+        assert_eq!(batch.report.host_threads, 5);
     }
 
     #[test]
@@ -1750,36 +1564,33 @@ mod tests {
             FitJob::new(good.clone().with_seed(1), 1),
             FitJob::new(good, 2),
         ];
-        for fanout in [HostFanout::PersistentPool, HostFanout::SpawnPerPhase] {
-            for threads in [2usize, 4] {
-                let exec = SimExecutor::a100_f32();
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    drive_shared_source_with(
-                        &jobs,
-                        &source,
-                        &exec,
-                        exec.trace().len(),
-                        &BatchOptions::default()
-                            .with_host_threads(HostParallelism::Threads(threads))
-                            .with_fanout(fanout),
-                        |job| {
-                            Box::new(PanickingEngine {
-                                explode: job.config.seed == 1,
-                            })
-                        },
-                    )
-                }));
-                let payload = outcome.expect_err("worker panic must reach the driver");
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("<non-string payload>");
-                assert!(
-                    message.contains("injected worker panic"),
-                    "{fanout:?} threads {threads}: unexpected payload {message}"
-                );
-            }
+        // One thread runs the phases inline; more run them on the pool.
+        for threads in [1usize, 2, 4] {
+            let exec = SimExecutor::a100_f32();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drive_shared_source_with(
+                    &jobs,
+                    &source,
+                    &exec,
+                    exec.trace().len(),
+                    &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
+                    |job| {
+                        Box::new(PanickingEngine {
+                            explode: job.config.seed == 1,
+                        })
+                    },
+                )
+            }));
+            let payload = outcome.expect_err("worker panic must reach the driver");
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("<non-string payload>");
+            assert!(
+                message.contains("injected worker panic"),
+                "threads {threads}: unexpected payload {message}"
+            );
         }
     }
 
@@ -1867,28 +1678,24 @@ mod tests {
                 Ok(popcorn_dense::DenseMatrix::zeros(24, 2))
             }
         }
-        for fanout in [HostFanout::PersistentPool, HostFanout::SpawnPerPhase] {
-            for threads in [1usize, 2, 4] {
-                let err = drive_shared_source_with(
-                    &jobs,
-                    &source,
-                    &exec,
-                    exec.trace().len(),
-                    &BatchOptions::default()
-                        .with_host_threads(HostParallelism::Threads(threads))
-                        .with_fanout(fanout),
-                    |job| {
-                        Box::new(FailingEngine {
-                            fail: job.config.seed == 1,
-                        })
-                    },
-                )
-                .unwrap_err();
-                assert!(
-                    matches!(&err, CoreError::InvalidConfig(m) if m.contains("injected")),
-                    "{fanout:?} threads {threads}: unexpected error {err}"
-                );
-            }
+        for threads in [1usize, 2, 4] {
+            let err = drive_shared_source_with(
+                &jobs,
+                &source,
+                &exec,
+                exec.trace().len(),
+                &BatchOptions::default().with_host_threads(HostParallelism::Threads(threads)),
+                |job| {
+                    Box::new(FailingEngine {
+                        fail: job.config.seed == 1,
+                    })
+                },
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, CoreError::InvalidConfig(m) if m.contains("injected")),
+                "threads {threads}: unexpected error {err}"
+            );
         }
     }
 

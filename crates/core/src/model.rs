@@ -37,7 +37,7 @@ use crate::solver::FitInput;
 use crate::sparsified::Sparsify;
 use crate::strategy::KernelMatrixStrategy;
 use crate::Result;
-use popcorn_dense::{matmul, matmul_nt_rows, DenseMatrix, Scalar};
+use popcorn_dense::{matmul, matmul_nt_rows, row_argmin, DenseMatrix, Scalar};
 use popcorn_gpusim::{Executor, ExecutorExt, OpClass, OpCost, Phase, Streaming};
 use popcorn_sparse::CsrMatrix;
 use std::fmt::Write as _;
@@ -674,23 +674,7 @@ impl<T: Scalar> FittedModel<T> {
             Phase::Assignment,
             OpClass::Reduction,
             OpCost::elementwise_elems(q as u64 * k as u64, 1, 0, 1, elem),
-            || {
-                (0..q)
-                    .map(|i| {
-                        let row = distances.row(i);
-                        let mut best = 0usize;
-                        let mut best_d = f64::INFINITY;
-                        for (c, v) in row.iter().enumerate() {
-                            let v = v.to_f64();
-                            if v < best_d {
-                                best_d = v;
-                                best = c;
-                            }
-                        }
-                        best
-                    })
-                    .collect()
-            },
+            || row_argmin(&distances),
         ))
     }
 

@@ -699,9 +699,12 @@ impl PanelLayout {
 
 impl ShardLayout for PanelLayout {
     /// Maps the fit-level [`TilePolicy`] onto one entry, reusing
-    /// [`plan_tile_rows`] for the capacity math. A capacity rejection is
-    /// promoted to [`CoreError::DeviceShardMemoryExceeded`] so the failing
-    /// device of a heterogeneous pool is named.
+    /// [`plan_tile_rows`] for the capacity math. The panels of the device's
+    /// other entries count as resident next to the workspace, so a recovery
+    /// that piles migrated rows onto a survivor is sized (or rejected) against
+    /// what the survivor already holds. A capacity rejection is promoted to
+    /// [`CoreError::DeviceShardMemoryExceeded`] so the failing device of a
+    /// heterogeneous pool is named.
     fn plan_entry(
         &self,
         entries: &[DeviceShard],
@@ -712,13 +715,19 @@ impl ShardLayout for PanelLayout {
         if rows.is_empty() {
             return Ok(0);
         }
+        let held: u64 = entries
+            .iter()
+            .enumerate()
+            .filter(|&(other, e)| other != index && e.device == *device)
+            .map(|(_, e)| self.entry_bytes(e))
+            .sum();
         let plan = |policy: TilePolicy| {
             let spec = &topology.devices[*device];
             plan_tile_rows(
                 self.n,
                 self.k_budget,
                 self.elem,
-                self.input_bytes,
+                self.input_bytes.saturating_add(held),
                 policy,
                 spec,
             )

@@ -1080,4 +1080,46 @@ mod tests {
             "{err:?}"
         );
     }
+
+    #[test]
+    fn dense_survivor_too_small_for_the_migrated_panels_is_rejected() {
+        // The exact panel layout's counterpart: two devices each fit their
+        // own 30-row panel, and after device 1 is lost device 0 must be
+        // planned against both its own panel and the migrated one.
+        use crate::solver::Solver;
+        let points = sample_points(60, 4);
+        let capacity = 19_200;
+        let small = DeviceSpec::a100_80gb().with_mem_bytes(capacity);
+        for tiling in [TilePolicy::Full, TilePolicy::Auto, TilePolicy::Rows(20)] {
+            let faulty = std::sync::Arc::new(
+                ShardedExecutor::homogeneous(small.clone(), 2, LinkSpec::nvlink(), 8)
+                    .with_fault_plan(FaultPlan::new().lose(1, 1), RecoveryPolicy::Resume),
+            );
+            let config = crate::KernelKmeansConfig::paper_defaults(3)
+                .with_max_iter(4)
+                .with_convergence_check(false, 0.0)
+                .with_tiling(tiling);
+            let outcome = crate::KernelKmeans::new(config)
+                .with_shared_executor(faulty.clone())
+                .fit(&points);
+            match (tiling, outcome) {
+                // Auto shrinks the migrated panel into what is left.
+                (TilePolicy::Auto, Ok(_)) => {
+                    assert_eq!(faulty.recovery_report().map(|r| r.events), Some(1));
+                    let peak = faulty.per_device_peak_resident_bytes()[0];
+                    assert!(peak <= capacity, "device 0 peaked at {peak} B");
+                }
+                // Full and a fixed 20-row tile cannot hold two panels.
+                (TilePolicy::Full | TilePolicy::Rows(_), Err(err)) => assert!(
+                    matches!(err, CoreError::DeviceShardMemoryExceeded { device: 0, .. }),
+                    "{tiling:?}: {err:?}"
+                ),
+                (tiling, outcome) => panic!(
+                    "{tiling:?}: {:?}, device 0 peaked at {} B",
+                    outcome.map(|r| r.objective),
+                    faulty.per_device_peak_resident_bytes()[0]
+                ),
+            }
+        }
+    }
 }
