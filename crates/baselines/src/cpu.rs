@@ -302,6 +302,7 @@ impl<T: Scalar> Solver<T> for CpuKernelKmeans {
             &*executor,
             || Ok(self.compute_kernel_matrix(input, config.kernel, &*executor)),
             &mut engine,
+            None,
         )
     }
 

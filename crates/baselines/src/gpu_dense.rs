@@ -380,6 +380,7 @@ impl<T: Scalar> Solver<T> for DenseGpuBaseline {
                 &*executor,
                 || self.compute_kernel_matrix(points, config.kernel, &executor),
                 &mut engine,
+                None,
             )
         })
     }

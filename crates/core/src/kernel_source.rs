@@ -541,8 +541,36 @@ pub fn run_with_source<T: Scalar, R>(
     k_budget: usize,
     executor: &dyn Executor,
     compute_full: impl FnOnce() -> Result<DenseMatrix<T>>,
-    mut run: impl FnMut(&dyn KernelSource<T>) -> Result<R>,
+    run: impl FnMut(&dyn KernelSource<T>) -> Result<R>,
 ) -> Result<R> {
+    run_with_source_keeping_full(
+        input,
+        kernel,
+        approx,
+        tiling,
+        k_budget,
+        executor,
+        compute_full,
+        run,
+    )
+    .map(|(result, _)| result)
+}
+
+/// [`run_with_source`] that also hands back the `n × n` matrix
+/// `compute_full` produced once `run` has returned (`None` for every other
+/// source), so a caller can keep it without cloning it while the fit's own
+/// copy is still alive.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_with_source_keeping_full<T: Scalar, R>(
+    input: FitInput<'_, T>,
+    kernel: KernelFunction,
+    approx: KernelApprox,
+    tiling: TilePolicy,
+    k_budget: usize,
+    executor: &dyn Executor,
+    compute_full: impl FnOnce() -> Result<DenseMatrix<T>>,
+    mut run: impl FnMut(&dyn KernelSource<T>) -> Result<R>,
+) -> Result<(R, Option<DenseMatrix<T>>)> {
     if executor.shard_count() > 1 {
         // Elastic multi-device dispatch: a fit killed by a surfaced device
         // loss is restarted on the surviving pool (the executor's liveness
@@ -560,14 +588,14 @@ pub fn run_with_source<T: Scalar, R>(
                     });
                     attempt += 1;
                 }
-                result => return result,
+                result => return result.map(|r| (r, None)),
             }
         }
     }
     if let Some(result) =
         dispatch_approx(input, kernel, approx, tiling, k_budget, executor, &mut run)
     {
-        return result;
+        return result.map(|r| (r, None));
     }
     let tile_rows = plan_tile_rows(
         input.n(),
@@ -579,11 +607,11 @@ pub fn run_with_source<T: Scalar, R>(
     )?;
     if tile_rows == input.n() {
         let kernel_matrix = compute_full()?;
-        let source = FullKernel::new(&kernel_matrix)?;
-        run(&source)
+        let result = run(&FullKernel::new(&kernel_matrix)?)?;
+        Ok((result, Some(kernel_matrix)))
     } else {
         let source = TiledKernel::new(input, kernel, tile_rows, executor)?;
-        run(&source)
+        run(&source).map(|r| (r, None))
     }
 }
 

@@ -978,9 +978,15 @@ fn build_landmark_fold<T: Scalar>(
 }
 
 /// Freeze a finished fit into a [`FittedModel`]: adopt the source's resident
-/// kernel state (already charged by the fit — adoption is a host-side clone),
-/// and stream the source once under the final labels to collect `diag(K)`
-/// and the per-cluster statistics the serving assembly needs.
+/// kernel state (already charged by the fit, so adoption costs no modeled
+/// time), and stream the source once under the final labels to collect
+/// `diag(K)` and the per-cluster statistics the serving assembly needs.
+///
+/// CSR and Nyström state is cloned off the source. An in-core `n × n` `K` is
+/// cloned only when `clone_full` is set (the source borrows a model the
+/// caller still holds); otherwise the resident is left as
+/// `ResidentKernel::None` and [`fit_model_via`] moves the fit's own matrix
+/// in once the source is gone, so the fit never holds two copies of `K`.
 fn extract<T: Scalar>(
     family: ModelFamily,
     config: &KernelKmeansConfig,
@@ -988,6 +994,7 @@ fn extract<T: Scalar>(
     store_input: FitInput<'_, T>,
     source: &dyn KernelSource<T>,
     executor: &dyn Executor,
+    clone_full: bool,
 ) -> Result<FittedModel<T>> {
     let n = source.n();
     let d = store_input.d();
@@ -1080,8 +1087,12 @@ fn extract<T: Scalar>(
             matrix: csr.clone(),
         }
     } else if let Some(full) = source.full_matrix() {
-        ResidentKernel::Full {
-            matrix: full.clone(),
+        if clone_full {
+            ResidentKernel::Full {
+                matrix: full.clone(),
+            }
+        } else {
+            ResidentKernel::None
         }
     } else {
         ResidentKernel::Streamed {
@@ -1308,9 +1319,12 @@ impl<T: Scalar> KernelSource<T> for ModelSource<'_, T> {
 /// Fit-and-extract driver shared by the kernel-family solvers: run the
 /// normal fit pipeline, then freeze the model off the same kernel source
 /// while it is still alive (so resident state is adopted, not recomputed).
-/// `run_input` is what the solver iterates over (the dense baseline
-/// densifies), `store_input` is what the model keeps (the original layout,
-/// so training-set recognition sees the caller's bytes).
+/// An in-core `K` is moved into the model once the fit has released it,
+/// never cloned. `run_input` is what the solver iterates over (the dense
+/// baseline densifies), `store_input` is what the model keeps (the original
+/// layout, so training-set recognition sees the caller's bytes). `init`
+/// seeds the loop as in [`pipeline::iterate_init`]; a fit passes `None`.
+#[allow(clippy::too_many_arguments)]
 pub fn fit_model_via<T: Scalar>(
     family: ModelFamily,
     run_input: FitInput<'_, T>,
@@ -1319,8 +1333,9 @@ pub fn fit_model_via<T: Scalar>(
     executor: &dyn Executor,
     compute_full: impl FnOnce() -> Result<DenseMatrix<T>>,
     engine: &mut dyn DistanceEngine<T>,
+    init: Option<Vec<usize>>,
 ) -> Result<(ClusteringResult, FittedModel<T>)> {
-    kernel_source::run_with_source(
+    let ((result, mut model), full) = kernel_source::run_with_source_keeping_full(
         run_input,
         config.kernel,
         config.approx,
@@ -1329,11 +1344,23 @@ pub fn fit_model_via<T: Scalar>(
         executor,
         compute_full,
         |source| {
-            let result = pipeline::iterate(source, config, executor, engine)?;
-            let model = extract(family, config, &result, store_input, source, executor)?;
+            let result = pipeline::iterate_init(source, config, executor, engine, init.clone())?;
+            let model = extract(
+                family,
+                config,
+                &result,
+                store_input,
+                source,
+                executor,
+                false,
+            )?;
             Ok((result, model))
         },
-    )
+    )?;
+    if let Some(matrix) = full {
+        model.resident = ResidentKernel::Full { matrix };
+    }
+    Ok((result, model))
 }
 
 /// Full-kernel builder a solver hands to [`refit_via`] for the
@@ -1402,30 +1429,20 @@ pub fn refit_via<T: Scalar>(
                     model.points.as_input(),
                     &source,
                     executor,
+                    true,
                 )?;
                 Ok((result, new_model))
             } else {
                 let input = model.points.as_input();
-                let mut engine = make_engine(config.k);
-                kernel_source::run_with_source(
+                fit_model_via(
+                    family,
                     input,
-                    config.kernel,
-                    config.approx,
-                    config.tiling,
-                    config.k,
+                    input,
+                    &config,
                     executor,
                     || compute_full(input, &config, executor),
-                    |source| {
-                        let result = pipeline::iterate_init(
-                            source,
-                            &config,
-                            executor,
-                            engine.as_mut(),
-                            init.clone(),
-                        )?;
-                        let new_model = extract(family, &config, &result, input, source, executor)?;
-                        Ok((result, new_model))
-                    },
+                    make_engine(config.k).as_mut(),
+                    init,
                 )
             }
         }
@@ -1453,26 +1470,15 @@ pub fn refit_via<T: Scalar>(
             // stayed resident.
             new_input.charge_upload(executor);
             let input = combined.as_input();
-            let mut engine = make_engine(config.k);
-            kernel_source::run_with_source(
+            fit_model_via(
+                family,
                 input,
-                config.kernel,
-                config.approx,
-                config.tiling,
-                config.k,
+                input,
+                &config,
                 executor,
                 || compute_full(input, &config, executor),
-                |source| {
-                    let result = pipeline::iterate_init(
-                        source,
-                        &config,
-                        executor,
-                        engine.as_mut(),
-                        init.clone(),
-                    )?;
-                    let new_model = extract(family, &config, &result, input, source, executor)?;
-                    Ok((result, new_model))
-                },
+                make_engine(config.k).as_mut(),
+                init,
             )
         }
     }
@@ -2269,6 +2275,117 @@ mod tests {
         assert_eq!(re_result.labels, result.labels);
         assert_eq!(re_result.iterations, result.iterations);
         assert_eq!(re_model.labels(), model.labels());
+    }
+
+    /// [`fit_model_via`] as it was before `K` was adopted: [`extract`]
+    /// clones the matrix off the live source, which keeps its own copy.
+    fn fit_by_cloning_k(
+        input: FitInput<'_, f64>,
+        config: &KernelKmeansConfig,
+        init: Option<Vec<usize>>,
+    ) -> FittedModel<f64> {
+        let executor = SimExecutor::new(DeviceSpec::a100_80gb(), std::mem::size_of::<f64>());
+        let mut engine = crate::popcorn::PopcornEngine::<f64>::new(config.k);
+        kernel_source::run_with_source(
+            input,
+            config.kernel,
+            config.approx,
+            config.tiling,
+            config.k,
+            &executor,
+            || {
+                Ok(input
+                    .compute_kernel_matrix(config.kernel, config.strategy, &executor)?
+                    .0)
+            },
+            |source| {
+                let result =
+                    pipeline::iterate_init(source, config, &executor, &mut engine, init.clone())?;
+                extract(
+                    ModelFamily::Popcorn,
+                    config,
+                    &result,
+                    input,
+                    source,
+                    &executor,
+                    true,
+                )
+            },
+        )
+        .unwrap()
+    }
+
+    /// The adopted model holds exactly `compute_kernel_matrix`'s `K` and
+    /// serves and saves exactly like the cloned one.
+    fn assert_adopts_k(model: &FittedModel<f64>, cloned: &FittedModel<f64>) {
+        let config = &model.config;
+        let input = model.points.as_input();
+        let executor = SimExecutor::new(DeviceSpec::a100_80gb(), std::mem::size_of::<f64>());
+        let (want, _) = input
+            .compute_kernel_matrix(config.kernel, config.strategy, &executor)
+            .unwrap();
+        let ResidentKernel::Full { matrix } = &model.resident else {
+            panic!(
+                "in-core fit must keep K resident, got {}",
+                model.resident_kind()
+            )
+        };
+        assert_eq!(matrix.shape(), want.shape());
+        for (idx, (got, want)) in matrix.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "K entry {idx}: {got} vs {want}"
+            );
+        }
+        assert_eq!(model, cloned);
+        assert_eq!(model.save(), cloned.save());
+        let queries =
+            DenseMatrix::from_rows(&[vec![0.02, 0.03], vec![4.02, 4.03], vec![2.0, 2.1]]).unwrap();
+        for probe in [input, FitInput::Dense(&queries)] {
+            let ex = SimExecutor::new(DeviceSpec::a100_80gb(), std::mem::size_of::<f64>());
+            assert_eq!(
+                model.assign(probe, &ex).unwrap().labels,
+                cloned.assign(probe, &ex).unwrap().labels
+            );
+        }
+    }
+
+    #[test]
+    fn in_core_fits_and_refits_adopt_k_instead_of_cloning_it() {
+        let points = toy_points();
+        let config = toy_config();
+        let solver = KernelKmeans::new(config.clone());
+        let (_, model) = solver.fit_model(FitInput::Dense(&points)).unwrap();
+        assert_adopts_k(
+            &model,
+            &fit_by_cloning_k(FitInput::Dense(&points), &config, None),
+        );
+
+        // Changed kernel: K is rebuilt from the stored points.
+        let gaussian = config.clone().with_kernel(KernelFunction::Gaussian {
+            gamma: 1.0,
+            sigma: 2.0,
+        });
+        let request = RefitRequest::warm().with_config(gaussian.clone());
+        let (_, refit) = solver.refit(&model, &request).unwrap();
+        let init = Some(model.labels.clone());
+        assert_adopts_k(
+            &refit,
+            &fit_by_cloning_k(FitInput::Dense(&points), &gaussian, init),
+        );
+
+        // Appended points: K is rebuilt over the combined set.
+        let extra = DenseMatrix::from_rows(&[vec![0.07, 0.02], vec![4.07, 4.02]]).unwrap();
+        let request = RefitRequest::cold().with_new_points(OwnedPoints::Dense(extra.clone()));
+        let (_, grown) = solver.refit(&model, &request).unwrap();
+        let combined = OwnedPoints::Dense(points)
+            .concat(&OwnedPoints::Dense(extra))
+            .unwrap();
+        assert_adopts_k(
+            &grown,
+            &fit_by_cloning_k(combined.as_input(), &config, None),
+        );
     }
 
     #[test]

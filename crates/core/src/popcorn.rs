@@ -280,6 +280,7 @@ impl<T: Scalar> Solver<T> for KernelKmeans {
                     .0)
             },
             &mut engine,
+            None,
         )
     }
 

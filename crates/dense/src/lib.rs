@@ -38,5 +38,15 @@ pub use ops::{add_col_broadcast, add_row_broadcast, axpy, hadamard, scale_in_pla
 pub use scalar::Scalar;
 pub use syrk::{symmetrize_lower, syrk, syrk_full, Triangle};
 
+/// `true` when the running CPU supports `avx2` and `fma`, the target
+/// features of the hardware-FMA wrappers that the register-blocked Gram
+/// micro-kernel and `popcorn-sparse`'s dense `K·Vᵀ` fold pick at run time.
+/// Both wrappers produce the same bits as their portable twins, so this
+/// check selects speed, never results.
+#[cfg(target_arch = "x86_64")]
+pub fn has_fma() -> bool {
+    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+}
+
 /// Result alias used across the dense crate.
 pub type Result<T> = std::result::Result<T, DenseError>;

@@ -23,7 +23,7 @@
 //! an `unsafe` `#[target_feature(enable = "avx2,fma")]` wrapper, where
 //! `mul_add` lowers to `vfmadd` and the lanes vectorise, and in a portable
 //! wrapper, where `mul_add` stays a libm `fma` call. The wrapper is chosen
-//! once per call with `is_x86_feature_detected!`. IEEE-754 fused
+//! once per call with [`crate::has_fma`]. IEEE-754 fused
 //! multiply-add rounds once, so both wrappers produce the same bits; no
 //! build flag or option selects between them. The micro-tile must stay its
 //! own `#[inline(always)]` function: written inline in the loop nest, LLVM
@@ -55,19 +55,13 @@ pub(crate) fn nt_rows<T: Scalar, W: Fn(&mut T, T)>(
     write: W,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if has_fma() {
+    if crate::has_fma() {
         // SAFETY: `has_fma` just confirmed the CPU supports AVX2 and FMA,
         // every feature `nt_rows_fma` enables.
         unsafe { nt_rows_fma(a, a_row0, b, c, region, write) };
         return;
     }
     nt_rows_portable(a, a_row0, b, c, region, write);
-}
-
-/// `true` when the running CPU has the features [`nt_rows_fma`] needs.
-#[cfg(target_arch = "x86_64")]
-fn has_fma() -> bool {
-    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
 }
 
 /// [`nt_rows`] compiled with hardware FMA and AVX2 lanes.
@@ -359,7 +353,7 @@ mod tests {
                 let got = run_chunked(&portable, rows, n, cuts);
                 assert_bits(&got, &want, &format!("portable {what}"));
                 #[cfg(target_arch = "x86_64")]
-                if has_fma() {
+                if crate::has_fma() {
                     let fma = |row0, c: &mut [T]| {
                         // SAFETY: guarded by `has_fma` just above.
                         unsafe { nt_rows_fma(&a, row0, &b, c, region, write) }

@@ -11,12 +11,43 @@
 //! * [`spmm_transpose_b`]: `C = alpha * B_dense * A_sparseᵀ` (the literal
 //!   `K Vᵀ` shape used in Eq. 10), implemented column-gather style without
 //!   materialising `Vᵀ`.
+//!
+//! # Per-cell order contract of the dense fold
+//!
+//! Every output cell `(i, j)` of [`spmm_transpose_b_into`] is the fused
+//! chain over `A` row `j`'s stored entries, in ascending column order,
+//! followed by one scale:
+//!
+//! ```text
+//! acc = 0;  for (l, v) in A.row(j) { acc = v.mul_add(B[i][l], acc) };  C[i][j] = alpha * acc
+//! ```
+//!
+//! The fold only changes *which* cells run side by side: it takes `MR`
+//! output rows at a time and keeps one independent chain per row for each
+//! `j`, so every stored `(l, v)` is loaded once per `MR` rows; leftover
+//! rows run the same chain one at a time. No chain is split, reordered or
+//! reassociated, so the output is bit-identical at every tile height,
+//! thread count and row partition, and bit-identical to
+//! [`spmm_csr_rows_selection_t_into`] at full density.
+//!
+//! # Dispatch pattern
+//!
+//! As in `popcorn-dense`'s Gram micro-kernel, the loop nest is one generic
+//! `#[inline(always)]` body compiled twice: in an `unsafe`
+//! `#[target_feature(enable = "avx2,fma")]` wrapper, where `mul_add` lowers
+//! to `vfmadd`, and in a portable wrapper, where `mul_add` stays a libm
+//! `fma` call. [`popcorn_dense::has_fma`] picks the wrapper once per row
+//! chunk. IEEE-754 fused multiply-add rounds once, so both wrappers produce
+//! the same bits; no build flag or option selects between them.
 
 use crate::csr::{CsrMatrix, CsrRows};
 use crate::errors::SparseError;
 use crate::Result;
 use popcorn_dense::parallel::par_chunks_rows;
 use popcorn_dense::{DenseMatrix, Scalar};
+
+/// Output rows of the dense fold that share one pass over `A`'s entries.
+const MR: usize = 4;
 
 /// FLOPs performed by an SpMM between a sparse matrix with `nnz` stored
 /// entries and a dense matrix with `n_cols` columns: each stored entry
@@ -82,6 +113,13 @@ pub fn spmm_transpose_b<T: Scalar>(
 /// `E = −2 K Vᵀ` directly into the shared accumulator, with no intermediate
 /// matrix: output values are identical to the allocating variant bit for bit
 /// (each cell is an independent overwrite).
+///
+/// Every cell follows the module's
+/// [per-cell order contract](self#per-cell-order-contract-of-the-dense-fold):
+/// `acc = fma(v, B[i][l], acc)` over `A` row `j`'s stored `(l, v)` in
+/// ascending `l`, then `alpha * acc`. Rows are split across threads, and
+/// each chunk runs the hardware-FMA or the portable build of the same
+/// body ([dispatch](self#dispatch-pattern)); neither choice changes a bit.
 pub fn spmm_transpose_b_into<T: Scalar>(
     alpha: T,
     b: &DenseMatrix<T>,
@@ -108,20 +146,105 @@ pub fn spmm_transpose_b_into<T: Scalar>(
         return Ok(());
     }
     par_chunks_rows(out, n, |start_row, chunk| {
-        for (local_i, c_row) in chunk.chunks_exact_mut(n).enumerate() {
-            let i = start_row + local_i;
-            let b_row = b.row(i);
-            for (j, c_ij) in c_row.iter_mut().enumerate() {
-                let (cols, vals) = a.row(j);
-                let mut acc = T::ZERO;
-                for (&l, &v) in cols.iter().zip(vals.iter()) {
-                    acc = v.mul_add(b_row[l], acc);
-                }
-                *c_ij = alpha * acc;
-            }
-        }
+        fold_rows(alpha, b, start_row, a, chunk)
     });
     Ok(())
+}
+
+/// Writes `alpha * (B row · Aᵀ)` for the whole output rows held in `c`
+/// (width `a.rows()`); row `r` of `c` pairs with row `b_row0 + r` of `b`.
+/// Dispatches to the hardware-FMA or the portable build of [`fold_rows_body`].
+fn fold_rows<T: Scalar>(
+    alpha: T,
+    b: &DenseMatrix<T>,
+    b_row0: usize,
+    a: &CsrMatrix<T>,
+    c: &mut [T],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if popcorn_dense::has_fma() {
+        // SAFETY: `has_fma` just confirmed the CPU supports AVX2 and FMA,
+        // every feature `fold_rows_fma` enables.
+        unsafe { fold_rows_fma(alpha, b, b_row0, a, c) };
+        return;
+    }
+    fold_rows_portable(alpha, b, b_row0, a, c);
+}
+
+/// [`fold_rows`] compiled with hardware FMA and AVX2 lanes.
+///
+/// # Safety
+/// The running CPU must support the `avx2` and `fma` target features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn fold_rows_fma<T: Scalar>(
+    alpha: T,
+    b: &DenseMatrix<T>,
+    b_row0: usize,
+    a: &CsrMatrix<T>,
+    c: &mut [T],
+) {
+    fold_rows_body(alpha, b, b_row0, a, c);
+}
+
+/// [`fold_rows`] compiled for the baseline target.
+fn fold_rows_portable<T: Scalar>(
+    alpha: T,
+    b: &DenseMatrix<T>,
+    b_row0: usize,
+    a: &CsrMatrix<T>,
+    c: &mut [T],
+) {
+    fold_rows_body(alpha, b, b_row0, a, c);
+}
+
+#[inline(always)]
+fn fold_rows_body<T: Scalar>(
+    alpha: T,
+    b: &DenseMatrix<T>,
+    b_row0: usize,
+    a: &CsrMatrix<T>,
+    c: &mut [T],
+) {
+    let n = a.rows();
+    if n == 0 {
+        return;
+    }
+    let mut blocks = c.chunks_exact_mut(MR * n);
+    let mut i = b_row0;
+    for block in blocks.by_ref() {
+        let b_rows = std::array::from_fn(|r| b.row(i + r));
+        for j in 0..n {
+            let (cols, vals) = a.row(j);
+            let acc = fold_cells::<T, MR>(b_rows, cols, vals);
+            for (r, acc_r) in acc.into_iter().enumerate() {
+                block[r * n + j] = alpha * acc_r;
+            }
+        }
+        i += MR;
+    }
+    for c_row in blocks.into_remainder().chunks_exact_mut(n) {
+        let b_row = [b.row(i)];
+        for (j, c_ij) in c_row.iter_mut().enumerate() {
+            let (cols, vals) = a.row(j);
+            let [acc] = fold_cells::<T, 1>(b_row, cols, vals);
+            *c_ij = alpha * acc;
+        }
+        i += 1;
+    }
+}
+
+/// `M` independent chains of one output column: `acc[r]` folds the stored
+/// `(l, v)` of one `A` row against `b_rows[r][l]`, in ascending `l`.
+#[inline(always)]
+fn fold_cells<T: Scalar, const M: usize>(b_rows: [&[T]; M], cols: &[usize], vals: &[T]) -> [T; M] {
+    let mut acc = [T::ZERO; M];
+    for (&l, &v) in cols.iter().zip(vals) {
+        for (acc_r, b_r) in acc.iter_mut().zip(&b_rows) {
+            *acc_r = v.mul_add(b_r[l], *acc_r);
+        }
+    }
+    acc
 }
 
 /// `out[i, :] = alpha * (panel_row_i · Vᵀ)` where `V` is a selection matrix
@@ -298,6 +421,122 @@ mod tests {
     fn flop_count() {
         assert_eq!(spmm_flops(10, 5), 100);
         assert_eq!(spmm_flops(0, 5), 0);
+    }
+
+    /// Values spread over several binades, with both signs, so any change
+    /// of rounding or association shows in the low bits.
+    fn fold_sample<T: Scalar>(rows: usize, cols: usize, salt: usize) -> DenseMatrix<T> {
+        DenseMatrix::from_fn(rows, cols, |i, j| {
+            let t = ((i * 131 + j * 17 + salt) as f64 * 0.618).sin();
+            T::from_f64(t * (1.0 + ((i + 3 * j) % 7) as f64 * 3.7))
+        })
+    }
+
+    /// A `k × n` selection-shaped `V` (column `l` stored in row `l % k`, or
+    /// `l % (k - 1)` when `k > 2` so that the last cluster is empty) with
+    /// weights `1/|L_j|`.
+    fn fold_selection<T: Scalar>(k: usize, n: usize) -> CsrMatrix<T> {
+        let owner = |l: usize| if k > 2 { l % (k - 1) } else { l % k };
+        let size = |j: usize| (0..n).filter(|&l| owner(l) == j).count();
+        CsrMatrix::from_dense(&DenseMatrix::from_fn(k, n, |j, l| {
+            if owner(l) == j {
+                T::from_f64(1.0 / size(j) as f64)
+            } else {
+                T::ZERO
+            }
+        }))
+    }
+
+    /// The per-cell loop the blocked fold replaced: the oracle every result
+    /// must match bit for bit.
+    fn fold_oracle<T: Scalar>(alpha: T, b: &DenseMatrix<T>, a: &CsrMatrix<T>) -> Vec<T> {
+        let mut want = Vec::with_capacity(b.rows() * a.rows());
+        for i in 0..b.rows() {
+            for j in 0..a.rows() {
+                let (cols, vals) = a.row(j);
+                let mut acc = T::ZERO;
+                for (&l, &v) in cols.iter().zip(vals) {
+                    acc = v.mul_add(b[(i, l)], acc);
+                }
+                want.push(alpha * acc);
+            }
+        }
+        want
+    }
+
+    fn assert_fold_bits<T: Scalar>(got: &[T], want: &[T], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (idx, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_f64().to_bits(),
+                w.to_f64().to_bits(),
+                "{what}: cell {idx} is {g}, oracle {w}"
+            );
+        }
+    }
+
+    fn fold_entry_points_agree<T: Scalar>() {
+        let alpha = T::from_f64(-2.0);
+        let n = 11;
+        for k in [1usize, 3, 10] {
+            let a = fold_selection::<T>(k, n);
+            if k > 2 {
+                assert_eq!(a.row(k - 1).0.len(), 0, "k={k}: last cluster is empty");
+            }
+            for rows in [0usize, 1, 3, 4, 5, 7, 9] {
+                let b = fold_sample::<T>(rows, n, k);
+                let want = fold_oracle(alpha, &b, &a);
+                let what = format!("k={k} rows={rows}");
+                // Each entry point over the whole matrix and over row chunks
+                // cut off the 4-row grid, as the thread partition cuts them.
+                for cuts in [&[][..], &[1, 2], &[3, 8]] {
+                    let cuts: Vec<usize> = cuts.iter().copied().filter(|&c| c < rows).collect();
+                    let run = |entry: &dyn Fn(usize, &mut [T])| {
+                        let mut got = vec![T::from_f64(7.0); rows * k];
+                        let mut rest = got.as_mut_slice();
+                        let mut row0 = 0;
+                        for &end in cuts.iter().chain(std::iter::once(&rows)) {
+                            let (head, tail) = rest.split_at_mut((end - row0) * k);
+                            entry(row0, head);
+                            rest = tail;
+                            row0 = end;
+                        }
+                        got
+                    };
+                    let portable = |row0, c: &mut [T]| fold_rows_portable(alpha, &b, row0, &a, c);
+                    assert_fold_bits(&run(&portable), &want, &format!("portable {what} {cuts:?}"));
+                    #[cfg(target_arch = "x86_64")]
+                    if popcorn_dense::has_fma() {
+                        let fma = |row0, c: &mut [T]| {
+                            // SAFETY: guarded by `has_fma` just above.
+                            unsafe { fold_rows_fma(alpha, &b, row0, &a, c) }
+                        };
+                        assert_fold_bits(&run(&fma), &want, &format!("fma {what} {cuts:?}"));
+                    }
+                }
+                // The public entry fed tile slices of `B` matches the whole
+                // matrix at every tile height.
+                let mut whole = vec![T::ZERO; rows * k];
+                spmm_transpose_b_into(alpha, &b, &a, &mut whole).unwrap();
+                assert_fold_bits(&whole, &want, &format!("whole {what}"));
+                for tile_rows in [1usize, 2, 3, 4, 5] {
+                    let mut tiled = vec![T::ZERO; rows * k];
+                    for r0 in (0..rows).step_by(tile_rows) {
+                        let r1 = (r0 + tile_rows).min(rows);
+                        let tile = DenseMatrix::from_fn(r1 - r0, n, |li, l| b[(r0 + li, l)]);
+                        spmm_transpose_b_into(alpha, &tile, &a, &mut tiled[r0 * k..r1 * k])
+                            .unwrap();
+                    }
+                    assert_fold_bits(&tiled, &whole, &format!("tiles of {tile_rows} {what}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_portable_and_fma_entry_points_give_identical_bits() {
+        fold_entry_points_agree::<f32>();
+        fold_entry_points_agree::<f64>();
     }
 
     /// A CSR matrix storing *every* entry of `dense` — exact zeros included —
